@@ -37,7 +37,6 @@
 #include "core/ex_dpc.h"
 #include "core/kernels.h"
 #include "core/options.h"
-#include "core/sharded_dpc.h"
 #include "core/soa.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
@@ -57,10 +56,6 @@ struct ApproxDpcOptions {
   /// search; 0 solves the Equation (2) cost model (SolveNumSubsets),
   /// 1 collapses to a single global search.
   int force_num_subsets = 0;
-  /// `sharding=region` solves grid-region shards concurrently
-  /// (core/sharded_dpc.h) — bit-identical labels, so the solution cache
-  /// treats it as the same configuration.
-  ShardingOptions sharding;
 
   static StatusOr<ApproxDpcOptions> FromOptions(const OptionsMap& map) {
     ApproxDpcOptions options;
@@ -68,7 +63,6 @@ struct ApproxDpcOptions {
     reader.Bool("joint_range_search", &options.joint_range_search);
     reader.Strategy("scheduler", &options.scheduler);
     reader.Int("force_num_subsets", &options.force_num_subsets);
-    if (Status s = options.sharding.Consume(reader); !s.ok()) return s;
     if (Status s = reader.status(); !s.ok()) return s;
     if (options.force_num_subsets < 0) {
       return Status::InvalidArgument("force_num_subsets must be >= 0");
@@ -103,7 +97,6 @@ class ApproxDpc : public DpcAlgorithm {
                         const ExecutionContext& ctx) override {
     ExecutionContext exec =
         options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-    if (options_.sharding.enabled()) return SolveSharded(points, compute, exec);
 
     DpcSolution result;
     const PointId n = points.size();
@@ -315,61 +308,6 @@ class ApproxDpc : public DpcAlgorithm {
   }
 
  private:
-  /// Region-sharded solve: rho, peak election, and the non-peak snap run
-  /// shard by shard (core/sharded_dpc.h); the peaks then enter the same
-  /// density-ordered subset search with bit-identical inputs — rho is
-  /// exact either way and cells never split across shards — so the whole
-  /// solution matches the unsharded path bit for bit.
-  DpcSolution SolveSharded(const PointSet& points, const ComputeParams& compute,
-                           const ExecutionContext& exec) {
-    DpcSolution result;
-    const PointId n = points.size();
-    const int dim = points.dim();
-    result.rho.assign(static_cast<size_t>(n), 0.0);
-    result.delta.assign(static_cast<size_t>(n),
-                        std::numeric_limits<double>::infinity());
-    result.dependency.assign(static_cast<size_t>(n), PointId{-1});
-    if (n == 0) return result;
-
-    internal::WallTimer total;
-    internal::WallTimer phase;
-    const UniformGrid grid(points,
-                           compute.d_cut / std::sqrt(static_cast<double>(dim)));
-    const RegionShardPlan plan = BuildRegionShardPlan(
-        grid, compute.d_cut, options_.sharding.Resolve(exec));
-    const std::vector<internal::ShardIndex> indexes =
-        BuildShardIndexes(points, plan, exec);
-    result.stats.build_seconds = phase.Lap();
-    size_t shard_tree_bytes = 0;
-    for (const auto& idx : indexes) shard_tree_bytes += idx.tree.MemoryBytes();
-    result.stats.index_memory_bytes = shard_tree_bytes + grid.MemoryBytes();
-
-    ShardedRho(points, compute.d_cut, exec, plan, indexes, &result.rho);
-    result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
-
-    std::vector<PointId> peaks;
-    ShardedPeaksAndSnap(points, grid, exec, plan, result.rho, &result.delta,
-                        &result.dependency, &peaks);
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.delta_seconds = phase.Lap();
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
-    const int num_subsets = options_.force_num_subsets > 0
-                                ? options_.force_num_subsets
-                                : SolveNumSubsets(n, dim);
-    ComputePeakDeltasBySubsets(points, result.rho, peaks, num_subsets, exec,
-                               &result.delta, &result.dependency);
-    result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
-    result.stats.total_seconds = total.Seconds();
-    return result;
-  }
-
   ApproxDpcOptions options_;
 };
 

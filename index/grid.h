@@ -22,19 +22,12 @@
 
 namespace dpc {
 
-/// Index into UniformGrid::cells() — the unit the §4.5 LPT scheduler
-/// partitions across threads.
+/// A grid cell's position in first-touch order — the unit the §4.5 LPT
+/// scheduler partitions across threads.
 using CellId = int64_t;
 
 class UniformGrid {
  public:
-  using CellCoords = std::vector<int64_t>;
-
-  struct Cell {
-    CellCoords coords;             ///< integer cell coordinates
-    std::vector<PointId> members;  ///< point ids, ascending
-  };
-
   UniformGrid() = default;
   UniformGrid(const PointSet& points, double cell_side) {
     Build(points, cell_side);
@@ -54,18 +47,16 @@ class UniformGrid {
             static_cast<int64_t>(std::floor(points[i][d] / cell_side));
       }
       const auto [it, inserted] = index_.try_emplace(key, cells_.size());
-      if (inserted) {
-        cells_.push_back(Cell{key, {}});
-      }
-      cells_[it->second].members.push_back(i);
+      if (inserted) cells_.emplace_back();
+      cells_[it->second].push_back(i);
     }
   }
 
   CellId num_cells() const { return static_cast<CellId>(cells_.size()); }
   double cell_side() const { return cell_side_; }
-  const std::vector<Cell>& cells() const { return cells_; }
+  /// The point ids in `cell`, ascending.
   const std::vector<PointId>& members(CellId cell) const {
-    return cells_[static_cast<size_t>(cell)].members;
+    return cells_[static_cast<size_t>(cell)];
   }
 
   /// The cell-local point ordering the SoA hot path reorders by
@@ -82,12 +73,12 @@ class UniformGrid {
   Ordering CellOrdering() const {
     Ordering out;
     size_t total = 0;
-    for (const auto& cell : cells_) total += cell.members.size();
+    for (const auto& members : cells_) total += members.size();
     out.order.reserve(total);
     out.cell_begin.reserve(cells_.size() + 1);
     out.cell_begin.push_back(0);
-    for (const auto& cell : cells_) {
-      out.order.insert(out.order.end(), cell.members.begin(), cell.members.end());
+    for (const auto& members : cells_) {
+      out.order.insert(out.order.end(), members.begin(), members.end());
       out.cell_begin.push_back(static_cast<PointId>(out.order.size()));
     }
     return out;
@@ -99,27 +90,32 @@ class UniformGrid {
   std::vector<double> CellCosts() const {
     std::vector<double> costs;
     costs.reserve(cells_.size());
-    for (const auto& cell : cells_) {
-      costs.push_back(static_cast<double>(cell.members.size()));
+    for (const auto& members : cells_) {
+      costs.push_back(static_cast<double>(members.size()));
     }
     return costs;
   }
 
   size_t MemoryBytes() const {
-    size_t bytes = cells_.capacity() * sizeof(Cell);
-    for (const auto& cell : cells_) {
-      bytes += cell.coords.capacity() * sizeof(int64_t) +
-               cell.members.capacity() * sizeof(PointId);
+    size_t bytes = cells_.capacity() * sizeof(std::vector<PointId>);
+    for (const auto& members : cells_) {
+      bytes += members.capacity() * sizeof(PointId);
     }
-    // unordered_map overhead: one bucket pointer + one node per cell.
+    // unordered_map overhead: one bucket pointer + one node per cell,
+    // plus each key's coordinate storage.
     bytes += index_.bucket_count() * sizeof(void*) +
              index_.size() * (sizeof(CellCoords) + 2 * sizeof(void*) + sizeof(size_t));
+    for (const auto& entry : index_) {
+      bytes += entry.first.capacity() * sizeof(int64_t);
+    }
     return bytes;
   }
 
  private:
+  using CellCoords = std::vector<int64_t>;
+
   double cell_side_ = 0.0;
-  std::vector<Cell> cells_;
+  std::vector<std::vector<PointId>> cells_;  ///< members per CellId
   std::unordered_map<CellCoords, size_t, Int64VectorHash> index_;
 };
 

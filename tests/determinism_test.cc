@@ -2,7 +2,9 @@
 // thread counts, AND across schedule strategies (the parallel phases only
 // write disjoint per-point slots; ties are broken by id, never by arrival
 // order — so static chunks, dynamic claiming, and LPT bins all land on
-// the same bits).
+// the same bits) — degenerate shapes included: a single-cell grid and an
+// empty input.
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -16,6 +18,8 @@
 #include "core/registry.h"
 #include "core/s_approx_dpc.h"
 #include "data/generators.h"
+#include "index/grid.h"
+#include "parallel/execution_context.h"
 #include "parallel/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -135,6 +139,39 @@ int main() {
       dpc::kernels::SetSoaCellReorder(true);
       dpc::test::AssertSolutionsEqual(reordered, flat);
       std::printf("%-12s identical with cell reordering on/off\n", name.c_str());
+    }
+  }
+
+  // Degenerate shapes: a single-cell grid (a tight 8x8 blob at
+  // (1000, 1000) under d_cut 1e6 — grid side ~7.07e5, so every point
+  // lands in cell (0, 0)) and an empty input, on 1 and 2 threads.
+  {
+    dpc::PointSet blob(2);
+    for (int i = 0; i < 64; ++i) {
+      const double xy[2] = {1000.0 + 13.0 * (i % 8), 1000.0 + 17.0 * (i / 8)};
+      blob.Add(xy);
+    }
+    CHECK_EQ(dpc::UniformGrid(blob, 1e6 / std::sqrt(2.0)).num_cells(), 1);
+    const dpc::PointSet empty(2);
+    dpc::DpcParams p;
+    p.d_cut = 1e6;
+    p.rho_min = 2.0;
+    p.delta_min = 4e6;
+    p.epsilon = 0.5;
+    for (const char* name : {"ex-dpc", "approx-dpc", "s-approx-dpc"}) {
+      auto algo = dpc::MakeAlgorithmByName(name);
+      CHECK(algo.ok());
+      const dpc::DpcResult serial =
+          algo.value()->Run(blob, p, dpc::ExecutionContext(1));
+      CHECK_EQ(serial.label.size(), static_cast<size_t>(blob.size()));
+      dpc::test::AssertSolutionsEqual(
+          serial, algo.value()->Run(blob, p, dpc::ExecutionContext(2)));
+      for (const int threads : {1, 2}) {
+        const dpc::DpcResult none =
+            algo.value()->Run(empty, p, dpc::ExecutionContext(threads));
+        CHECK_EQ(none.label.size(), 0u);
+        CHECK_EQ(none.centers.size(), 0u);
+      }
     }
   }
 

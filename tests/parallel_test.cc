@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "baselines/scan_dpc.h"
+#include "core/approx_dpc.h"
 #include "core/ex_dpc.h"
 #include "data/generators.h"
 #include "parallel/execution_context.h"
@@ -208,19 +209,24 @@ int main() {
     params.rho_min = 2.0;
     params.delta_min = 9000.0;
 
-    dpc::ExecutionContext cancelled(2);
-    cancelled.RequestCancel();
-    dpc::ExDpc algo;
-    const dpc::DpcResult result = algo.Run(points, params, cancelled);
-    CHECK(result.stats.interrupted);
-    CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
-    for (const int64_t label : result.label) CHECK_EQ(label, dpc::kUnassigned);
-    CHECK_EQ(result.centers.size(), 0u);
+    dpc::ExDpc ex_dpc;
+    dpc::ApproxDpc approx_dpc;
+    for (dpc::DpcAlgorithm* algo :
+         {static_cast<dpc::DpcAlgorithm*>(&ex_dpc),
+          static_cast<dpc::DpcAlgorithm*>(&approx_dpc)}) {
+      dpc::ExecutionContext cancelled(2);
+      cancelled.RequestCancel();
+      const dpc::DpcResult result = algo->Run(points, params, cancelled);
+      CHECK(result.stats.interrupted);
+      CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
+      for (const int64_t label : result.label) CHECK_EQ(label, dpc::kUnassigned);
+      CHECK_EQ(result.centers.size(), 0u);
 
-    // The same run without cancellation completes normally.
-    const dpc::DpcResult ok = algo.Run(points, params, dpc::ExecutionContext(2));
-    CHECK(!ok.stats.interrupted);
-    CHECK(ok.num_clusters() > 0);
+      // The same run without cancellation completes normally.
+      const dpc::DpcResult ok = algo->Run(points, params, dpc::ExecutionContext(2));
+      CHECK(!ok.stats.interrupted);
+      CHECK(ok.num_clusters() > 0);
+    }
   }
 
   // Quadratic-baseline cancellation latency: Scan's O(n) per-index work

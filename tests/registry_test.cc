@@ -69,6 +69,14 @@ int main() {
     CHECK(bad_key.status().code() == dpc::StatusCode::kInvalidArgument);
     CHECK(bad_key.status().message().find("nope") != std::string::npos);
 
+    // `sharding` is not an option of the grid algorithms: an unknown key.
+    for (const char* name : {"ex-dpc", "approx-dpc"}) {
+      auto removed = dpc::MakeAlgorithmByName(name, {{"sharding", "region"}});
+      CHECK(!removed.ok());
+      CHECK(removed.status().code() == dpc::StatusCode::kInvalidArgument);
+      CHECK(removed.status().message().find("sharding") != std::string::npos);
+    }
+
     auto bad_value = dpc::MakeAlgorithmByName(
         "approx-dpc", {{"joint_range_search", "maybe"}});
     CHECK(!bad_value.ok());

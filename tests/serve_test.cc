@@ -859,40 +859,6 @@ void TestServerStoreStats() {
   std::remove(store_path.c_str());
 }
 
-/// Sharded execution through the server: `sharding=region` requests hit
-/// the SAME cache key as unsharded ones (execution options are stripped
-/// from the solution key), and a sharded compute's labels are
-/// bit-identical to the unsharded direct Run.
-void TestShardedRequestsShareCacheKey() {
-  const dpc::PointSet points = TestPoints(31, 1200);
-  dpc::serve::ServerOptions options;
-  options.pool_threads = 2;
-  dpc::serve::ClusterServer server(options);
-  server.datasets().Register("pts", points);
-
-  dpc::serve::ClusterRequest sharded;
-  sharded.dataset = "pts";
-  sharded.algorithm = "ex-dpc";
-  sharded.params = TestParams();
-  sharded.options = {{"sharding", "region"}, {"shards", "4"}};
-  const auto first = server.Submit(sharded).get();
-  CHECK(first.status.ok());
-  CHECK(!first.cache_hit);
-
-  auto algo = dpc::MakeAlgorithmByName("ex-dpc");
-  CHECK(dpc::test::BitIdenticalLabels(
-      first.result->label, algo.value()->Run(points, sharded.params).label));
-
-  // The unsharded spelling of the same compute config is a cache hit —
-  // sharding is an execution detail, not an identity.
-  dpc::serve::ClusterRequest plain = sharded;
-  plain.options.clear();
-  const auto second = server.Submit(plain).get();
-  CHECK(second.status.ok());
-  CHECK(second.cache_hit);
-  CHECK(second.result.get() == first.result.get());
-}
-
 void TestCoherentStatsSnapshot() {
   // The cross-field invariant the telemetry refactor exists to make
   // observable: every cache lookup is classified exactly once, and
@@ -1080,7 +1046,6 @@ int main() {
   TestErrorPaths();
   TestConcurrentSubmissions();
   TestConcurrentExecutionOverlap();
-  TestShardedRequestsShareCacheKey();
   TestServerStoreStats();
   TestCoherentStatsSnapshot();
   TestServerMetricsSurface();
