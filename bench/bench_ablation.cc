@@ -6,15 +6,20 @@
 //      the load-balance quality (max/min thread load under the cost
 //      model) and wall time. On 1-core machines only the balance metric
 //      is meaningful.
-//   C. The subset count s of the exact dependent fallback: Equation (2)'s
-//      solution vs forced under/over-partitioning.
+//   C. The cell peaks' exact dependent search: the paper's density-ordered
+//      subset scheme at Equation (2)'s s and forced under/over-partitioning,
+//      beside the single-tree search the solve runs. Exits non-zero if any
+//      peak's delta differs between them.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "index/grid.h"
+#include "index/kdtree.h"
 #include "parallel/lpt_scheduler.h"
 
 int main() {
@@ -73,22 +78,65 @@ int main() {
     std::printf("   (1.0 = perfect balance; LPT should sit at ~1.00, hash above it)\n");
   }
 
-  // --- C: subset count s. ---
-  std::printf("\nC. Exact-fallback subset count s (delta phase time [s], Household-like)\n");
+  // --- C: the peaks' exact dependent search. ---
+  std::printf("\nC. Peak search: density-ordered subsets (Equation (2)) vs the "
+              "solve's own kd-tree\n   (seconds; subset times include their "
+              "s tree builds, the single tree is already built for rho)\n");
+  bool peaks_agree = true;
   {
-    const auto& w = workloads[1];
-    DpcParams params = w.params;
-    params.num_threads = cfg.max_threads;
-    const int solved = ApproxDpc::SolveNumSubsets(w.points.size(), w.points.dim());
-    eval::Table table({"s", "delta time [s]", "note"});
-    for (const int s : {2, solved / 2 > 2 ? solved / 2 : 3, solved, solved * 4}) {
-      ApproxDpcOptions opt;
-      opt.force_num_subsets = s;
-      const DpcResult r = ApproxDpc(opt).Run(w.points, params);
-      table.AddRow({std::to_string(s), StrFormat("%.3f", r.stats.delta_seconds),
-                    s == solved ? "Equation (2) solution" : ""});
+    eval::Table table({"dataset", "peaks/n", "s", "subsets [s]",
+                       "single tree [s]", "note"});
+    const ExecutionContext ctx(cfg.max_threads);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const auto& w : workloads) {
+      const PointId n = w.points.size();
+      const int dim = w.points.dim();
+      ComputeParams compute;
+      compute.d_cut = w.params.d_cut;
+      const DpcSolution sol = ApproxDpc().Solve(w.points, compute, ctx);
+      const UniformGrid grid(
+          w.points, compute.d_cut / std::sqrt(static_cast<double>(dim)));
+      std::vector<double> delta(static_cast<size_t>(n), inf);
+      std::vector<PointId> dep(static_cast<size_t>(n), -1);
+      const std::vector<PointId> peaks = ApproxDpc::ElectPeaksAndSnap(
+          w.points, grid, grid.CellCosts(), sol.rho, ctx, &delta, &dep);
+      KdTree tree;
+      tree.Build(w.points);
+      internal::WallTimer timer;
+      ExDpc::ComputeExactDeltas(w.points, tree, sol.rho, ctx, &delta, &dep,
+                                &peaks);
+      const double tree_s = timer.Lap();
+      for (const PointId p : peaks) {
+        peaks_agree = peaks_agree && delta[static_cast<size_t>(p)] ==
+                                         sol.delta[static_cast<size_t>(p)];
+      }
+      const int solved = ApproxDpc::SolveNumSubsets(n, dim);
+      for (const int s : {2, std::max(solved / 2, 3), solved, solved * 4}) {
+        std::vector<double> subset_delta(static_cast<size_t>(n), inf);
+        std::vector<PointId> subset_dep(static_cast<size_t>(n), -1);
+        timer.Lap();
+        ApproxDpc::ComputePeakDeltasBySubsets(w.points, sol.rho, peaks, s, ctx,
+                                              &subset_delta, &subset_dep);
+        const double subset_s = timer.Lap();
+        for (const PointId p : peaks) {
+          peaks_agree = peaks_agree && subset_delta[static_cast<size_t>(p)] ==
+                                           delta[static_cast<size_t>(p)];
+        }
+        table.AddRow({w.name,
+                      StrFormat("%.3f", static_cast<double>(peaks.size()) /
+                                            static_cast<double>(n)),
+                      std::to_string(s), StrFormat("%.4f", subset_s),
+                      StrFormat("%.4f", tree_s),
+                      s == solved ? "Equation (2) solution" : ""});
+      }
     }
     table.Print();
   }
+  if (!peaks_agree) {
+    std::fprintf(stderr, "FAIL: subset and single-tree peak deltas differ\n");
+    return 1;
+  }
+  std::printf("   PASS: every peak delta is bit-identical across all s and "
+              "the single tree\n");
   return 0;
 }

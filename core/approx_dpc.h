@@ -7,24 +7,25 @@
 //   * non-peak points take their cell peak as dependent point — distance
 //     <= the cell diameter = d_cut < delta_min, so they can never become
 //     centers and need no exact delta search;
-//   * only cell peaks (a small fraction of n) run the exact
-//     nearest-denser-neighbor query, so center selection is EXACT — the
-//     paper's headline property: Approx-DPC returns the same centers as
+//   * cell peaks run Ex-DPC's exact nearest-denser-neighbor query on the
+//     kd-tree the solve already built for rho, so center selection is
+//     EXACT — the paper's headline property: Approx-DPC returns the same
+//     centers as Ex-DPC. Exact-distance ties go to the smallest id, as in
 //     Ex-DPC.
+//
+// Peaks are not necessarily a small fraction of n: measured peak ratios
+// are 0.078 on the Airline stand-in (dim 3, n = 400k) and 0.54 on PAMAP2
+// (dim 4, n = 50k). One shared kd-tree keeps the peak search cheap at
+// either ratio, with no per-solve index beyond the tree and the grid.
 //
 // rho is exact. With joint_range_search (§4.2, the default) each grid
 // cell runs ONE shared kd-tree traversal that counts neighbors for all
 // its members at once; turning it off falls back to Ex-DPC-style
 // per-point range counts — identical values, one traversal per point
-// (ablation A of bench_ablation). Both phases iterate cells partitioned
-// by the §4.5 LPT scheduler under the default cost-guided strategy.
-//
-// The peaks' exact dependent search uses the paper's density-ordered
-// subset scheme: points are split into s subsets by density rank, one
-// kd-tree per subset, and a peak only queries the subsets that can hold
-// denser points — denser peaks stop after fewer subsets. s comes from
-// SolveNumSubsets (the Equation (2) cost model) unless forced
-// (ablation C).
+// (ablation A of bench_ablation). The rho pass and the peak-election +
+// snap pass both iterate cells partitioned by the §4.5 LPT scheduler
+// under the default cost-guided strategy; S-Approx-DPC reuses both
+// passes (core/s_approx_dpc.h).
 #ifndef DPC_CORE_APPROX_DPC_H_
 #define DPC_CORE_APPROX_DPC_H_
 
@@ -52,21 +53,13 @@ struct ApproxDpcOptions {
   /// Loop scheduling override; unset inherits the ExecutionContext's
   /// strategy (default cost-guided, §4.5).
   std::optional<ScheduleStrategy> scheduler;
-  /// Subset count s of the peaks' density-ordered exact dependent
-  /// search; 0 solves the Equation (2) cost model (SolveNumSubsets),
-  /// 1 collapses to a single global search.
-  int force_num_subsets = 0;
 
   static StatusOr<ApproxDpcOptions> FromOptions(const OptionsMap& map) {
     ApproxDpcOptions options;
     OptionsReader reader(map);
     reader.Bool("joint_range_search", &options.joint_range_search);
     reader.Strategy("scheduler", &options.scheduler);
-    reader.Int("force_num_subsets", &options.force_num_subsets);
     if (Status s = reader.status(); !s.ok()) return s;
-    if (options.force_num_subsets < 0) {
-      return Status::InvalidArgument("force_num_subsets must be >= 0");
-    }
     return options;
   }
 };
@@ -78,11 +71,101 @@ class ApproxDpc : public DpcAlgorithm {
 
   std::string_view name() const override { return "Approx-DPC"; }
 
-  /// The Equation (2) analog of our cost model for the density-ordered
-  /// subset search: total tree build shrinks with s (s trees of n/s
-  /// points cost n*log2(n/s) together) while expected query work grows
-  /// linearly in s (a peak of uniform rank visits ~s/2 subsets).
-  /// Balancing d/ds of the two terms gives s* ~ 2*sqrt(n)/log2(n).
+  /// §4.2 joint range search: exact rho (self excluded) for every point,
+  /// one shared kd-tree traversal per grid cell over the bounding box of
+  /// the cell's members. Cells run under `cell_costs` (grid.CellCosts()).
+  static void JointRangeRho(const PointSet& points, const KdTree& tree,
+                            const UniformGrid& grid,
+                            const std::vector<double>& cell_costs,
+                            double d_cut, const ExecutionContext& exec,
+                            std::vector<double>* rho) {
+    const int dim = points.dim();
+    ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
+      const std::vector<PointId>& members = grid.members(cell);
+      // Per-thread scratch (pool workers persist): the members' tight
+      // bounding box — lo then hi, dim doubles each — and the counts.
+      // Both are fully overwritten per cell.
+      static thread_local std::vector<double> box;
+      static thread_local std::vector<PointId> counts;
+      box.assign(static_cast<size_t>(2 * dim), 0.0);
+      double* lo = box.data();
+      double* hi = box.data() + dim;
+      for (int d = 0; d < dim; ++d) {
+        lo[d] = std::numeric_limits<double>::infinity();
+        hi[d] = -std::numeric_limits<double>::infinity();
+      }
+      for (const PointId i : members) {
+        for (int d = 0; d < dim; ++d) {
+          lo[d] = std::min(lo[d], points[i][d]);
+          hi[d] = std::max(hi[d], points[i][d]);
+        }
+      }
+      tree.JointRangeCount(lo, hi, members, d_cut, &counts);
+      for (size_t k = 0; k < members.size(); ++k) {
+        (*rho)[static_cast<size_t>(members[k])] =
+            static_cast<double>(counts[k] - 1);  // self excluded
+      }
+    });
+  }
+
+  /// The grid algorithms' shared dependent pass, one parallel iteration
+  /// per cell under `cell_costs`: elects the cell's peak (its densest
+  /// member under DenserThan) into the returned peaks[cell] and snaps
+  /// every other member to it. Snap distances stream from a cell-ordered
+  /// SoA view — each cell's members are one contiguous
+  /// SquaredDistanceBatch, and sqrt of a bit-identical square is
+  /// bit-identical to the scalar Distance. Every slot is written by
+  /// exactly one cell, so the output is thread-count independent. Peaks'
+  /// own delta/dependency slots are left untouched. If the context
+  /// stops mid-pass, unvisited cells keep peak -1.
+  static std::vector<PointId> ElectPeaksAndSnap(
+      const PointSet& points, const UniformGrid& grid,
+      const std::vector<double>& cell_costs, const std::vector<double>& rho,
+      const ExecutionContext& exec, std::vector<double>* delta,
+      std::vector<PointId>* dependency) {
+    const UniformGrid::Ordering ordering = grid.CellOrdering();
+    PointSetSoA cell_soa;
+    cell_soa.Assign(points, ordering.order.data(), points.size(),
+                    /*store_ids=*/false);
+    std::vector<PointId> peaks(static_cast<size_t>(grid.num_cells()),
+                               PointId{-1});
+    ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
+      const std::vector<PointId>& members = grid.members(cell);
+      PointId peak = members.front();
+      for (const PointId i : members) {
+        if (DenserThan(rho[static_cast<size_t>(i)], i,
+                       rho[static_cast<size_t>(peak)], peak)) {
+          peak = i;
+        }
+      }
+      peaks[static_cast<size_t>(cell)] = peak;
+      if (members.size() == 1) return;
+      static thread_local std::vector<double> snap_sq;
+      snap_sq.resize(members.size());
+      kernels::SquaredDistanceBatch(
+          cell_soa, ordering.cell_begin[static_cast<size_t>(cell)],
+          static_cast<PointId>(members.size()), points[peak], snap_sq.data());
+      for (size_t k = 0; k < members.size(); ++k) {
+        const PointId i = members[k];
+        if (i == peak) continue;
+        (*dependency)[static_cast<size_t>(i)] = peak;
+        (*delta)[static_cast<size_t>(i)] = std::sqrt(snap_sq[k]);
+      }
+    });
+    return peaks;
+  }
+
+  /// Reference implementation of the paper's density-ordered subset
+  /// scheme for the peaks' exact dependent search — no longer on the
+  /// solve path, which runs ExDpc::ComputeExactDeltas on the solve's own
+  /// kd-tree instead. Kept for bench_ablation's ablation C and as a
+  /// second exact oracle.
+  ///
+  /// The Equation (2) analog of our cost model for the subset search:
+  /// total tree build shrinks with s (s trees of n/s points cost
+  /// n*log2(n/s) together) while expected query work grows linearly in s
+  /// (a peak of uniform rank visits ~s/2 subsets). Balancing d/ds of the
+  /// two terms gives s* ~ 2*sqrt(n)/log2(n).
   static int SolveNumSubsets(PointId n, int dim) {
     (void)dim;  // the log-tree costs cancel the dimension factor
     if (n < 2) return 1;
@@ -92,144 +175,19 @@ class ApproxDpc : public DpcAlgorithm {
     return std::clamp<int>(s, 1, static_cast<int>(std::min<PointId>(n, 256)));
   }
 
- protected:
-  DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
-                        const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
-    DpcSolution result;
-    const PointId n = points.size();
-    const int dim = points.dim();
-    result.rho.assign(static_cast<size_t>(n), 0.0);
-    result.delta.assign(static_cast<size_t>(n),
-                        std::numeric_limits<double>::infinity());
-    result.dependency.assign(static_cast<size_t>(n), PointId{-1});
-
-    internal::WallTimer total;
-    internal::WallTimer phase;
-    KdTree tree;
-    tree.Build(points);
-
-    // Grid with cell side d_cut/sqrt(dim), bounding the cell diameter by
-    // d_cut (index/grid.h — shared with S-Approx-DPC); its per-cell
-    // population doubles as the §4.5 scheduling cost model.
-    const UniformGrid grid(points,
-                           compute.d_cut / std::sqrt(static_cast<double>(dim)));
-    const std::vector<double> cell_costs = grid.CellCosts();
-    result.stats.build_seconds = phase.Lap();
-    result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
-
-    // rho: exact range counts, cell by cell.
-    if (options_.joint_range_search) {
-      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-        const std::vector<PointId>& members = grid.members(cell);
-        // Per-thread scratch (pool workers persist): the members' tight
-        // bounding box — lo then hi, dim doubles each — and the counts.
-        // Both are fully overwritten per cell.
-        static thread_local std::vector<double> box;
-        static thread_local std::vector<PointId> counts;
-        box.assign(static_cast<size_t>(2 * dim), 0.0);
-        double* lo = box.data();
-        double* hi = box.data() + dim;
-        for (int d = 0; d < dim; ++d) {
-          lo[d] = std::numeric_limits<double>::infinity();
-          hi[d] = -std::numeric_limits<double>::infinity();
-        }
-        for (const PointId i : members) {
-          for (int d = 0; d < dim; ++d) {
-            lo[d] = std::min(lo[d], points[i][d]);
-            hi[d] = std::max(hi[d], points[i][d]);
-          }
-        }
-        tree.JointRangeCount(lo, hi, members, compute.d_cut, &counts);
-        for (size_t k = 0; k < members.size(); ++k) {
-          result.rho[static_cast<size_t>(members[k])] =
-              static_cast<double>(counts[k] - 1);  // self excluded
-        }
-      });
-    } else {
-      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-        for (const PointId i : grid.members(cell)) {
-          result.rho[static_cast<size_t>(i)] = static_cast<double>(
-              tree.RangeCount(points[i], compute.d_cut) - 1);
-        }
-      });
-    }
-    result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
-
-    // delta: cell peaks get the exact search, everyone else snaps to its
-    // cell peak. With cell reordering on (the default), the snap
-    // distances stream from a cell-ordered SoA view — each cell's
-    // members are one contiguous SquaredDistanceBatch; sqrt of a
-    // bit-identical square is bit-identical to the scalar Distance.
-    PointSetSoA cell_soa;
-    UniformGrid::Ordering ordering;
-    const bool reordered = kernels::SoaCellReorderEnabled() && n > 0;
-    if (reordered) {
-      ordering = grid.CellOrdering();
-      cell_soa.Assign(points, ordering.order.data(), n, /*store_ids=*/false);
-    }
-    std::vector<double> snap_buf;
-    std::vector<PointId> peaks;
-    peaks.reserve(static_cast<size_t>(grid.num_cells()));
-    for (CellId c = 0; c < grid.num_cells(); ++c) {
-      const std::vector<PointId>& members = grid.members(c);
-      PointId peak = members.front();
-      for (const PointId i : members) {
-        if (DenserThan(result.rho[static_cast<size_t>(i)], i,
-                       result.rho[static_cast<size_t>(peak)], peak)) {
-          peak = i;
-        }
-      }
-      peaks.push_back(peak);
-      if (reordered) {
-        snap_buf.resize(members.size());
-        kernels::SquaredDistanceBatch(
-            cell_soa, ordering.cell_begin[static_cast<size_t>(c)],
-            static_cast<PointId>(members.size()), points[peak],
-            snap_buf.data());
-        for (size_t k = 0; k < members.size(); ++k) {
-          const PointId i = members[k];
-          if (i == peak) continue;
-          result.dependency[static_cast<size_t>(i)] = peak;
-          result.delta[static_cast<size_t>(i)] = std::sqrt(snap_buf[k]);
-        }
-      } else {
-        for (const PointId i : members) {
-          if (i == peak) continue;
-          result.dependency[static_cast<size_t>(i)] = peak;
-          result.delta[static_cast<size_t>(i)] =
-              Distance(points[i], points[peak], dim);
-        }
-      }
-    }
-    const int num_subsets = options_.force_num_subsets > 0
-                                ? options_.force_num_subsets
-                                : SolveNumSubsets(n, dim);
-    ComputePeakDeltasBySubsets(points, result.rho, peaks, num_subsets, exec,
-                               &result.delta, &result.dependency);
-    result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
-    result.stats.total_seconds = total.Seconds();
-    return result;
-  }
-
- public:
-  /// The paper's dependent-point strategy for cell peaks: points are
-  /// sorted into `num_subsets` density-ordered subsets, a kd-tree is
-  /// bulk-loaded per subset, and each peak queries subsets densest-first.
-  /// Every subset that wholly precedes the peak's own outranks it, so
-  /// the query degenerates to a plain nearest-neighbor there; only the
-  /// peak's own subset needs the denser-than predicate. The result is
-  /// exactly the nearest denser neighbor (same candidate set as a global
-  /// predicate search). Under cost-guided scheduling, peaks are
-  /// LPT-partitioned by density rank — denser peaks visit fewer subsets,
-  /// which rank models directly.
+  /// The paper's dependent-point strategy for cell peaks (reference only,
+  /// see SolveNumSubsets): points are sorted into `num_subsets`
+  /// density-ordered subsets, a kd-tree is bulk-loaded per subset, and
+  /// each peak queries subsets densest-first — denser peaks stop after
+  /// fewer subsets. Every subset that wholly precedes the peak's own
+  /// outranks it, so the query degenerates to a plain nearest-neighbor
+  /// there; only the peak's own subset needs the denser-than predicate.
+  /// delta is exactly the nearest-denser distance (same candidate set as
+  /// a global predicate search); on exact-distance ties the dependency
+  /// is the densest candidate, where ExDpc::ExactDeltaFor takes the
+  /// smallest id. Under cost-guided scheduling, peaks are LPT-partitioned
+  /// by density rank — denser peaks visit fewer subsets, which rank
+  /// models directly.
   static void ComputePeakDeltasBySubsets(
       const PointSet& points, const std::vector<double>& rho,
       const std::vector<PointId>& peaks, int num_subsets,
@@ -305,6 +263,68 @@ class ApproxDpc : public DpcAlgorithm {
       (*delta)[static_cast<size_t>(p)] = best;
       (*dependency)[static_cast<size_t>(p)] = best_id;
     });
+  }
+
+ protected:
+  DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
+                        const ExecutionContext& ctx) override {
+    ExecutionContext exec =
+        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
+
+    DpcSolution result;
+    const PointId n = points.size();
+    const int dim = points.dim();
+    result.rho.assign(static_cast<size_t>(n), 0.0);
+    result.delta.assign(static_cast<size_t>(n),
+                        std::numeric_limits<double>::infinity());
+    result.dependency.assign(static_cast<size_t>(n), PointId{-1});
+
+    internal::WallTimer total;
+    internal::WallTimer phase;
+    KdTree tree;
+    tree.Build(points);
+
+    // Grid with cell side d_cut/sqrt(dim), bounding the cell diameter by
+    // d_cut (index/grid.h — shared with S-Approx-DPC); its per-cell
+    // population doubles as the §4.5 scheduling cost model.
+    const UniformGrid grid(points,
+                           compute.d_cut / std::sqrt(static_cast<double>(dim)));
+    const std::vector<double> cell_costs = grid.CellCosts();
+    result.stats.build_seconds = phase.Lap();
+    result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
+
+    // rho: exact range counts, cell by cell.
+    if (options_.joint_range_search) {
+      JointRangeRho(points, tree, grid, cell_costs, compute.d_cut, exec,
+                    &result.rho);
+    } else {
+      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
+        for (const PointId i : grid.members(cell)) {
+          result.rho[static_cast<size_t>(i)] = static_cast<double>(
+              tree.RangeCount(points[i], compute.d_cut) - 1);
+        }
+      });
+    }
+    result.stats.rho_seconds = phase.Lap();
+    if (internal::Interrupted(exec, &result)) {
+      result.stats.total_seconds = total.Seconds();
+      return result;
+    }
+
+    // delta: non-peaks snap to their cell peak; the peaks run Ex-DPC's
+    // exact nearest-denser search on the tree built above (skipped if the
+    // snap pass stopped early and left peaks unelected).
+    const std::vector<PointId> peaks =
+        ElectPeaksAndSnap(points, grid, cell_costs, result.rho, exec,
+                          &result.delta, &result.dependency);
+    if (!exec.ShouldStop()) {
+      ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+                                &result.dependency, &peaks);
+    }
+    result.stats.delta_seconds = phase.Lap();
+    internal::Interrupted(exec, &result);
+    result.stats.total_seconds = total.Seconds();
+    return result;
   }
 
  private:

@@ -2,8 +2,11 @@
 // with the epsilon knob trading dependent-phase work for label accuracy.
 //
 // The skeleton is Approx-DPC's grid (cells of side d_cut/sqrt(dim), cell
-// diameter <= d_cut): rho is exact, non-peak points snap to their cell
-// peak, and only cell peaks run a nearest-denser-neighbor search. The
+// diameter <= d_cut) and its first two passes, shared code rather than a
+// copy: rho is Approx-DPC's §4.2 joint range count (one kd-tree
+// traversal per cell; the same integers as Ex-DPC's per-point counts),
+// and one parallel pass elects each cell's peak and snaps the other
+// members to it. Only cell peaks run a nearest-denser-neighbor search. The
 // epsilon knob subsamples the CANDIDATE SET of that search: each cell
 // contributes its peak unconditionally plus a
 //     keep_rate = 1 / (1 + 4 * epsilon)
@@ -30,11 +33,10 @@
 #include <limits>
 #include <vector>
 
+#include "core/approx_dpc.h"
 #include "core/dpc.h"
-#include "core/kernels.h"
 #include "core/options.h"
 #include "core/rng.h"
-#include "core/soa.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
 #include "parallel/parallel_for.h"
@@ -89,66 +91,25 @@ class SApproxDpc : public DpcAlgorithm {
     const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
 
-    // rho: exact range count, cell by cell (LPT-partitioned by default).
-    ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-      for (const PointId i : grid.members(cell)) {
-        result.rho[static_cast<size_t>(i)] = static_cast<double>(
-            tree.RangeCount(points[i], compute.d_cut) - 1);
-      }
-    });
+    // rho and the peak-election + snap pass are Approx-DPC's own
+    // (core/approx_dpc.h): the §4.2 joint range count, then one parallel
+    // pass over cells, both LPT-partitioned by default.
+    ApproxDpc::JointRangeRho(points, tree, grid, cell_costs, compute.d_cut,
+                             exec, &result.rho);
     result.stats.rho_seconds = phase.Lap();
     if (internal::Interrupted(exec, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
-
-    // Cell peaks + snapping, exactly as Approx-DPC (including the
-    // cell-ordered SoA fast path for the snap distances — see
-    // core/approx_dpc.h; sqrt of a bit-identical square is bit-identical
-    // to the scalar Distance).
-    PointSetSoA cell_soa;
-    UniformGrid::Ordering ordering;
-    const bool reordered = kernels::SoaCellReorderEnabled() && n > 0;
-    if (reordered) {
-      ordering = grid.CellOrdering();
-      cell_soa.Assign(points, ordering.order.data(), n, /*store_ids=*/false);
+    const std::vector<PointId> peaks =
+        ApproxDpc::ElectPeaksAndSnap(points, grid, cell_costs, result.rho,
+                                     exec, &result.delta, &result.dependency);
+    if (internal::Interrupted(exec, &result)) {
+      result.stats.total_seconds = total.Seconds();
+      return result;
     }
-    std::vector<double> snap_buf;
     std::vector<uint8_t> is_peak(static_cast<size_t>(n), 0);
-    std::vector<PointId> peaks;
-    peaks.reserve(static_cast<size_t>(grid.num_cells()));
-    for (CellId c = 0; c < grid.num_cells(); ++c) {
-      const std::vector<PointId>& members = grid.members(c);
-      PointId peak = members.front();
-      for (const PointId i : members) {
-        if (DenserThan(result.rho[static_cast<size_t>(i)], i,
-                       result.rho[static_cast<size_t>(peak)], peak)) {
-          peak = i;
-        }
-      }
-      is_peak[static_cast<size_t>(peak)] = 1;
-      peaks.push_back(peak);
-      if (reordered) {
-        snap_buf.resize(members.size());
-        kernels::SquaredDistanceBatch(
-            cell_soa, ordering.cell_begin[static_cast<size_t>(c)],
-            static_cast<PointId>(members.size()), points[peak],
-            snap_buf.data());
-        for (size_t k = 0; k < members.size(); ++k) {
-          const PointId i = members[k];
-          if (i == peak) continue;
-          result.dependency[static_cast<size_t>(i)] = peak;
-          result.delta[static_cast<size_t>(i)] = std::sqrt(snap_buf[k]);
-        }
-      } else {
-        for (const PointId i : members) {
-          if (i == peak) continue;
-          result.dependency[static_cast<size_t>(i)] = peak;
-          result.delta[static_cast<size_t>(i)] =
-              Distance(points[i], points[peak], dim);
-        }
-      }
-    }
+    for (const PointId p : peaks) is_peak[static_cast<size_t>(p)] = 1;
 
     // Epsilon-driven cell subsampling: peaks always survive; non-peak
     // members survive at keep_rate via the nested per-point hash.

@@ -14,7 +14,6 @@
 #include "baselines/lsh_ddp.h"
 #include "core/approx_dpc.h"
 #include "core/ex_dpc.h"
-#include "core/kernels.h"
 #include "core/registry.h"
 #include "core/s_approx_dpc.h"
 #include "data/generators.h"
@@ -116,29 +115,29 @@ int main() {
     }
   }
 
-  // SoA cell reordering is a memory-layout choice, never a semantic one:
-  // every registered algorithm must produce bit-identical labels with the
-  // cell-ordered hot-path views disabled (core/kernels.h).
+  // A duplicated integer lattice puts exact ties in rho and in distance
+  // everywhere; the grid algorithms' parallel peak-election + snap pass
+  // and peak search must still land on the same bits at any width.
+  // 10800 points in ~3000 cells: both passes form parallel regions.
   {
-    dpc::data::GaussianBenchmarkParams small = gen;
-    small.num_points = 3000;
-    small.seed = 123;
-    const dpc::PointSet pts = dpc::data::GaussianBenchmark(small);
-    dpc::DpcParams p = params;
-    p.num_threads = 2;
+    const dpc::PointSet lattice = dpc::test::LatticeWithDuplicates(2, 60, 3);
+    dpc::DpcParams p;
+    p.d_cut = 15.0;
+    p.rho_min = 0.0;
+    p.delta_min = 40.0;
     p.epsilon = 0.5;
-
-    CHECK(dpc::kernels::SoaCellReorderEnabled());  // default on
-    for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
+    for (const char* name : {"approx-dpc", "s-approx-dpc"}) {
       auto algo = dpc::MakeAlgorithmByName(name);
       CHECK(algo.ok());
-      dpc::kernels::SetSoaCellReorder(true);
-      const dpc::DpcResult reordered = algo.value()->Run(pts, p);
-      dpc::kernels::SetSoaCellReorder(false);
-      const dpc::DpcResult flat = algo.value()->Run(pts, p);
-      dpc::kernels::SetSoaCellReorder(true);
-      dpc::test::AssertSolutionsEqual(reordered, flat);
-      std::printf("%-12s identical with cell reordering on/off\n", name.c_str());
+      const dpc::DpcResult serial =
+          algo.value()->Run(lattice, p, dpc::ExecutionContext(1));
+      CHECK(serial.num_clusters() > 0);
+      for (const int threads : {2, 8}) {
+        const dpc::ExecutionContext ctx(threads);
+        dpc::test::AssertSolutionsEqual(serial,
+                                        algo.value()->Run(lattice, p, ctx));
+      }
+      std::printf("%-12s identical across threads on the tied lattice\n", name);
     }
   }
 

@@ -26,29 +26,6 @@ dpc::PointSet RandomPoints(int dim, dpc::PointId n, uint64_t seed) {
   return points;
 }
 
-/// Integer lattice (spacing 10) with every site stored `copies` times,
-/// copy-major (id = copy * sites + site). Squared distances are exact
-/// integers, so queries meet exact-distance ties on every trial: the
-/// query's own duplicates at distance 0, lattice neighbors at equal
-/// offsets.
-dpc::PointSet LatticeWithDuplicates(int dim, int side, int copies) {
-  int sites = 1;
-  for (int d = 0; d < dim; ++d) sites *= side;
-  dpc::PointSet points(dim);
-  std::vector<double> p(static_cast<size_t>(dim));
-  for (int copy = 0; copy < copies; ++copy) {
-    for (int site = 0; site < sites; ++site) {
-      int rest = site;
-      for (int d = 0; d < dim; ++d) {
-        p[static_cast<size_t>(d)] = 10.0 * (rest % side);
-        rest /= side;
-      }
-      points.Add(p.data());
-    }
-  }
-  return points;
-}
-
 /// Range count, range report and nearest-accepted-neighbor against brute
 /// force from 50 random query points. Returns how many nearest-neighbor
 /// queries had several accepted points at the winning distance.
@@ -127,7 +104,9 @@ int main() {
   // must actually produce them.
   for (const int dim : {2, 3}) {
     const int side = dim == 2 ? 15 : 8;
-    CHECK(CheckAgainstBruteForce(LatticeWithDuplicates(dim, side, 3), 5) > 0);
+    const dpc::PointSet lattice =
+        dpc::test::LatticeWithDuplicates(dim, side, 3);
+    CHECK(CheckAgainstBruteForce(lattice, 5) > 0);
   }
 
   // Empty and tiny trees must not crash.

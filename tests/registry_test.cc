@@ -77,6 +77,14 @@ int main() {
       CHECK(removed.status().message().find("sharding") != std::string::npos);
     }
 
+    // force_num_subsets left with the subset scheme's solve-path role.
+    auto subsets = dpc::MakeAlgorithmByName("approx-dpc",
+                                            {{"force_num_subsets", "8"}});
+    CHECK(!subsets.ok());
+    CHECK(subsets.status().code() == dpc::StatusCode::kInvalidArgument);
+    CHECK(subsets.status().message().find("force_num_subsets") !=
+          std::string::npos);
+
     auto bad_value = dpc::MakeAlgorithmByName(
         "approx-dpc", {{"joint_range_search", "maybe"}});
     CHECK(!bad_value.ok());

@@ -8,7 +8,10 @@
 //     sweeps {0.01, 0.2, 1.0} — the candidate samples are NESTED, so a
 //     larger epsilon can only lose dependency information;
 //   * epsilon = 0.01 keeps ~96% of candidates and must agree >= 0.99;
-//   * epsilon -> 0 keeps everyone and collapses to Approx-DPC exactly.
+//   * epsilon -> 0 keeps everyone and collapses to Approx-DPC exactly;
+//   * rho (the §4.2 joint range count) equals Ex-DPC's bit for bit at
+//     dim 2 and dim 7.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "core/ex_dpc.h"
 #include "core/s_approx_dpc.h"
 #include "data/generators.h"
+#include "data/real_like.h"
 #include "eval/rand_index.h"
 #include "tests/test_util.h"
 
@@ -48,6 +52,7 @@ int main() {
     p.epsilon = eps;
     dpc::SApproxDpc algo;
     const dpc::DpcResult r = algo.Run(points, p);
+    CHECK(r.rho == ground.rho);  // joint range count == per-point counts
     CHECK(r.centers == ground.centers);  // exact centers at every epsilon
     const double ri = dpc::eval::RandIndex(r.label, ground.label);
     std::printf("eps=%.2f: Rand index vs Ex-DPC = %.6f\n", eps, ri);
@@ -69,6 +74,23 @@ int main() {
     CHECK(a.label == b.label);
     CHECK(a.dependency == b.dependency);
     CHECK(a.centers == b.centers);
+  }
+
+  // The same bitwise rho agreement at dim 7 (the Household stand-in),
+  // where the joint traversal's per-cell bounding boxes are widest.
+  {
+    const dpc::data::RealDatasetSpec& spec =
+        dpc::data::RealDatasetSpecByName("Household");
+    const dpc::PointSet high = dpc::data::MakeRealLike(spec, 4000);
+    CHECK_EQ(high.dim(), 7);
+    dpc::ComputeParams compute;
+    compute.d_cut = spec.default_d_cut;
+    compute.epsilon = 0.5;
+    const dpc::ExecutionContext ctx(2);
+    const dpc::DpcSolution s = dpc::SApproxDpc().Solve(high, compute, ctx);
+    const dpc::DpcSolution e = dpc::ExDpc().Solve(high, compute, ctx);
+    CHECK(s.rho == e.rho);
+    CHECK(*std::max_element(e.rho.begin(), e.rho.end()) > 0.0);
   }
 
   std::printf("s_approx_dpc_test OK\n");

@@ -73,6 +73,29 @@ inline void AssertSolutionsEqual(const DpcResult& a, const DpcResult& b) {
   CHECK(a.centers == b.centers);
 }
 
+/// Integer lattice (spacing 10) with every site stored `copies` times,
+/// copy-major (id = copy * sites + site). Squared distances are exact
+/// integers, so queries meet exact-distance ties on every trial: the
+/// query's own duplicates at distance 0, lattice neighbors at equal
+/// offsets.
+inline PointSet LatticeWithDuplicates(int dim, int side, int copies) {
+  int sites = 1;
+  for (int d = 0; d < dim; ++d) sites *= side;
+  PointSet points(dim);
+  std::vector<double> p(static_cast<size_t>(dim));
+  for (int copy = 0; copy < copies; ++copy) {
+    for (int site = 0; site < sites; ++site) {
+      int rest = site;
+      for (int d = 0; d < dim; ++d) {
+        p[static_cast<size_t>(d)] = 10.0 * (rest % side);
+        rest /= side;
+      }
+      points.Add(p.data());
+    }
+  }
+  return points;
+}
+
 }  // namespace dpc::test
 
 #endif  // DPC_TESTS_TEST_UTIL_H_
