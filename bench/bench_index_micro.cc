@@ -1,8 +1,8 @@
 // Micro-benchmarks of the distance kernels and index substrates: the
 // scalar-vs-batched kernel comparison (the SoA fast path's headline
-// numbers), kd-tree build / range count / NN, incremental kd-tree
-// insert+NN, R-tree range count, grid build, LSH partitioning. These are
-// the primitive costs behind every row of Tables 1 and 6.
+// numbers), kd-tree build / range count / NN, R-tree range count, grid
+// build, LSH partitioning. These are the primitive costs behind every
+// row of Tables 1 and 6.
 //
 // Self-contained harness (no external benchmark framework): each case
 // auto-calibrates its iteration count until the timed region exceeds
@@ -27,7 +27,6 @@
 #include "data/real_like.h"
 #include "eval/bench_json.h"
 #include "eval/table.h"
-#include "index/dynamic_kdtree.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
 #include "index/lsh.h"
@@ -191,13 +190,12 @@ int main(int argc, char** argv) {
   // n = 4096 matches the baselines' poll-block batch size; dim 2 is the
   // Syn/S1-S4 shape, dim 7 the Household shape.
   //
-  // Under runtime dispatch the whole comparison repeats once per
-  // host-supported tier (SetActiveTier). The generic tier keeps the
-  // historical row names, so the committed trajectory and its 15%
-  // regression gate stay comparable across hosts; wide tiers get a
-  // _avx2 / _avx512 name suffix, and the `kernel_tiers` config key
-  // records which tiers this run measured (the gate skips suffixed
-  // baseline rows for tiers the measuring host lacks).
+  // The whole comparison repeats once per host-supported tier
+  // (SetActiveTier). The generic tier keeps the historical row names, so
+  // the committed trajectory and its 15% regression gate stay comparable
+  // across hosts; wide tiers get a _avx2 / _avx512 name suffix, and the
+  // `kernel_tiers` config key records which tiers this run measured (the
+  // gate skips suffixed baseline rows for tiers the measuring host lacks).
   const std::vector<kernels::KernelTier> tiers = kernels::SupportedTiers();
   {
     std::string tier_list;
@@ -205,20 +203,17 @@ int main(int argc, char** argv) {
       if (!tier_list.empty()) tier_list += ',';
       tier_list += kernels::TierName(tier);
     }
-    json.AddConfig("kernel_tiers", tier_list);  // empty = no runtime dispatch
+    json.AddConfig("kernel_tiers", tier_list);
   }
   const struct {
     const char* name;
     int kind;
   } kKernels[] = {{"sqdist", 0}, {"range_count", 1}, {"min_distance", 2}};
-  const size_t tier_passes = tiers.empty() ? 1 : tiers.size();
-  for (size_t pass = 0; pass < tier_passes; ++pass) {
+  for (const kernels::KernelTier tier : tiers) {
+    kernels::SetActiveTier(tier);
     std::string suffix;
-    if (!tiers.empty()) {
-      kernels::SetActiveTier(tiers[pass]);
-      if (tiers[pass] != kernels::KernelTier::kGeneric) {
-        suffix = std::string("_") + kernels::TierName(tiers[pass]);
-      }
+    if (tier != kernels::KernelTier::kGeneric) {
+      suffix = std::string("_") + kernels::TierName(tier);
     }
     for (const int dim : {2, 7}) {
       const PointSet points = MakeData(4096, dim);
@@ -237,7 +232,7 @@ int main(int argc, char** argv) {
   }
   // Back to the widest tier for the index primitives below, as
   // first-use detection would have chosen.
-  if (!tiers.empty()) kernels::SetActiveTier(tiers.back());
+  kernels::SetActiveTier(tiers.back());
 
   // --- Index primitives (same cases the earlier framework version ran). -
   for (const int64_t n : {int64_t{10000}, int64_t{50000}}) {
@@ -273,25 +268,6 @@ int main(int argc, char** argv) {
     });
     json.BeginResult("kdtree_nearest");
     emit("kdtree_nearest", "us_per_query", 1e6 * s, "%.2f");
-  }
-  {
-    const PointSet ps = MakeData(20000);
-    const double s = SecondsPerOp([&] {
-      DynamicKdTree tree(ps);
-      double acc = 0.0;
-      for (PointId i = 0; i < ps.size(); ++i) {
-        if (i > 0) {
-          double d = 0.0;
-          tree.Nearest(ps[i], &d);
-          acc += d;
-        }
-        tree.Insert(i);
-      }
-      Sink(acc);
-    });
-    json.BeginResult("dynamic_kdtree_insert_nearest");
-    emit("dynamic_kdtree_insert_nearest", "ns_per_point",
-         1e9 * s / static_cast<double>(ps.size()));
   }
   {
     const PointSet ps = MakeData(20000);

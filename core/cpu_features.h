@@ -6,7 +6,9 @@
 // before a wide tier may be selected.
 //
 // Header-only and dependency-free; compiles to "no features" on
-// non-x86 targets, which degrades the dispatcher to the generic tier.
+// non-x86 targets, which degrades the dispatcher to the generic tier
+// (the build likewise compiles the wide tiers' TUs at generic codegen
+// there; see dpc_kernel_tier() in the root CMakeLists).
 #ifndef DPC_CORE_CPU_FEATURES_H_
 #define DPC_CORE_CPU_FEATURES_H_
 

@@ -9,15 +9,16 @@
 // Nothing outside the tier TUs may be compiled with wide-arch flags;
 // these functions are only reachable through the dispatch table after
 // core/cpu_features.h proved the host executes AVX2 (CPUID + XGETBV).
+//
+// When the configuring toolchain rejects -mavx2 -mfma (a non-x86
+// target), CMake's dpc_kernel_tier() compiles this TU at generic
+// codegen and defines DPC_KERNELS_AVX2_UNAVAILABLE, which drops the
+// tier from SupportedTierMask() — the same fallback as the avx512 tier.
 #include <algorithm>
 #include <limits>
 
 #include "core/kernels_dispatch.h"
 
 #define DPC_TIER_NS avx2
-#define DPC_TIER_LINKAGE
-#define DPC_TIER_DEFINE_TABLE 1
 #include "core/kernels_tier_impl.inc"
-#undef DPC_TIER_DEFINE_TABLE
-#undef DPC_TIER_LINKAGE
 #undef DPC_TIER_NS

@@ -5,21 +5,17 @@
 // in core/kernels_tier_impl.inc); reachable only through the dispatch
 // table after CPUID/XGETBV proved AVX-512F + ZMM/opmask OS state.
 //
-// When the configuring toolchain cannot compile -mavx512f, CMake
-// defines DPC_KERNELS_AVX512_UNAVAILABLE for the whole dispatch
-// library: this TU then compiles the generic-codegen bodies (keeping
-// the symbol and table link-valid) and kernels_dispatch.cc drops the
-// tier from SupportedTierMask(), so the binary never claims a width it
-// does not have.
+// When the configuring toolchain cannot compile -mavx512f, CMake's
+// dpc_kernel_tier() defines DPC_KERNELS_AVX512_UNAVAILABLE for the
+// dispatch library: this TU then compiles the generic-codegen bodies
+// (keeping the symbol and table link-valid) and kernels_dispatch.cc
+// drops the tier from SupportedTierMask(), so the binary never claims a
+// width it does not have.
 #include <algorithm>
 #include <limits>
 
 #include "core/kernels_dispatch.h"
 
 #define DPC_TIER_NS avx512
-#define DPC_TIER_LINKAGE
-#define DPC_TIER_DEFINE_TABLE 1
 #include "core/kernels_tier_impl.inc"
-#undef DPC_TIER_DEFINE_TABLE
-#undef DPC_TIER_LINKAGE
 #undef DPC_TIER_NS

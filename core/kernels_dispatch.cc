@@ -62,7 +62,11 @@ uint32_t SupportedTierMask() {
   static const uint32_t mask = [] {
     uint32_t m = 1u << static_cast<int>(KernelTier::kGeneric);
     const CpuFeatures f = DetectCpuFeatures();
+    // DPC_KERNELS_<TIER>_UNAVAILABLE: the toolchain rejected the tier's
+    // arch flags, so its TU holds generic codegen (root CMakeLists).
+#if !defined(DPC_KERNELS_AVX2_UNAVAILABLE)
     if (Avx2TierUsable(f)) m |= 1u << static_cast<int>(KernelTier::kAvx2);
+#endif
 #if !defined(DPC_KERNELS_AVX512_UNAVAILABLE)
     if (Avx512TierUsable(f)) m |= 1u << static_cast<int>(KernelTier::kAvx512);
 #endif

@@ -1,5 +1,5 @@
-// Runtime CPU dispatch for the batched distance kernels (the
-// DPC_KERNEL_DISPATCH=runtime mode, the default build).
+// Runtime CPU dispatch for the batched distance kernels — the only
+// kernel path (core/kernels.h routes every call through Active()).
 //
 // One fat, portable binary carries three differently-compiled copies of
 // the column kernels — per-tier translation units with per-file arch
@@ -27,13 +27,27 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/dpc.h"
-#include "core/kernels_common.h"
 #include "core/soa.h"
 
+#if defined(__GNUC__) || defined(__clang__)
+#define DPC_KERNELS_RESTRICT __restrict__
+#else
+#define DPC_KERNELS_RESTRICT
+#endif
+
 namespace dpc::kernels {
+
+/// Result of MinDistanceBatch: the SoA position of the closest point and
+/// its squared distance. Ties resolve to the LOWEST position (identical
+/// to an ascending scalar scan with a strict '<' update).
+struct MinResult {
+  PointId pos = -1;
+  double d_sq = std::numeric_limits<double>::infinity();
+};
 
 /// The dispatch tiers, in ascending width order. Values double as bits
 /// in the supported-tier mask (1 << tier).
@@ -70,8 +84,9 @@ extern const KernelTable kTable;
 const char* TierName(KernelTier tier);
 
 /// Bit i set = tier i executable on this host AND compiled into this
-/// binary (a toolchain without -mavx512f support drops that tier at
-/// build time). Bit kGeneric is always set. Detected once, cached.
+/// binary (a toolchain that rejects a tier's arch flags, e.g. -mavx2 on
+/// a non-x86 target, drops that tier at build time). Bit kGeneric is
+/// always set. Detected once, cached.
 uint32_t SupportedTierMask();
 
 /// Pure tier-selection policy, exposed for tests: `forced` is the

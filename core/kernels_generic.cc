@@ -1,17 +1,14 @@
 // The generic dispatch tier: the column kernels at baseline target
 // codegen (SSE2 on x86-64) — the portable floor every host can run and
 // the tier DPC_FORCE_KERNEL_TIER=generic pins for fallback testing.
-// Compiled with -ffp-contract=off like every tier TU (uniformity; the
-// baseline ISA cannot contract anyway).
+// Compiled with -ffp-contract=off like every tier TU: x86-64's baseline
+// ISA cannot contract, but a target whose baseline has FMA (AArch64)
+// otherwise would.
 #include <algorithm>
 #include <limits>
 
 #include "core/kernels_dispatch.h"
 
 #define DPC_TIER_NS generic
-#define DPC_TIER_LINKAGE
-#define DPC_TIER_DEFINE_TABLE 1
 #include "core/kernels_tier_impl.inc"
-#undef DPC_TIER_DEFINE_TABLE
-#undef DPC_TIER_LINKAGE
 #undef DPC_TIER_NS

@@ -77,7 +77,7 @@ def exponents(doc):
 def row_tier(name):
     """The dispatch tier a result row was measured on, by naming
     convention: kernel_*_avx2 / kernel_*_avx512 come from the tier
-    sweep, everything else from the generic/compiled-in path."""
+    sweep, everything else from the generic tier."""
     for suffix in TIER_SUFFIXES:
         if name.endswith(suffix):
             return suffix[1:]
@@ -86,7 +86,7 @@ def row_tier(name):
 
 def current_tiers(doc):
     """Tiers the current run measured (config.kernel_tiers, written by
-    bench_index_micro's tier sweep). Empty set = no runtime dispatch."""
+    bench_index_micro's tier sweep). Empty for documents without one."""
     raw = doc.get("config", {}).get("kernel_tiers", "")
     return {t for t in str(raw).split(",") if t}
 

@@ -1,9 +1,9 @@
 // Determinism guarantees: identical results across repeated runs, across
-// thread counts, AND across schedule strategies (the parallel phases only
+// thread counts, across schedule strategies (the parallel phases only
 // write disjoint per-point slots; ties are broken by id, never by arrival
 // order — so static chunks, dynamic claiming, and LPT bins all land on
-// the same bits) — degenerate shapes included: a single-cell grid and an
-// empty input.
+// the same bits), AND across kernel dispatch tiers — degenerate shapes
+// included: a single-cell grid and an empty input.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -14,6 +14,7 @@
 #include "baselines/lsh_ddp.h"
 #include "core/approx_dpc.h"
 #include "core/ex_dpc.h"
+#include "core/kernels.h"
 #include "core/registry.h"
 #include "core/s_approx_dpc.h"
 #include "data/generators.h"
@@ -87,16 +88,16 @@ int main() {
   // ThreadPool — labels must be bit-identical to the 1-thread static
   // baseline. (A smaller input keeps the quadratic baselines affordable
   // while still exceeding the parallel-region threshold.)
+  dpc::data::GaussianBenchmarkParams small = gen;
+  small.num_points = 3000;
+  small.seed = 123;
+  const dpc::PointSet pts = dpc::data::GaussianBenchmark(small);
+  dpc::DpcParams small_params = params;
+  small_params.num_threads = 0;
+  small_params.epsilon = 0.5;
+  auto pool = std::make_shared<dpc::ThreadPool>(8);
   {
-    dpc::data::GaussianBenchmarkParams small = gen;
-    small.num_points = 3000;
-    small.seed = 123;
-    const dpc::PointSet pts = dpc::data::GaussianBenchmark(small);
-    dpc::DpcParams p = params;
-    p.num_threads = 0;
-    p.epsilon = 0.5;
-
-    auto pool = std::make_shared<dpc::ThreadPool>(8);
+    const dpc::DpcParams& p = small_params;
     for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
       auto algo = dpc::MakeAlgorithmByName(name);
       CHECK(algo.ok());
@@ -119,13 +120,14 @@ int main() {
   // everywhere; the grid algorithms' parallel peak-election + snap pass
   // and peak search must still land on the same bits at any width.
   // 10800 points in ~3000 cells: both passes form parallel regions.
+  const dpc::PointSet lattice = dpc::test::LatticeWithDuplicates(2, 60, 3);
+  dpc::DpcParams lattice_params;
+  lattice_params.d_cut = 15.0;
+  lattice_params.rho_min = 0.0;
+  lattice_params.delta_min = 40.0;
+  lattice_params.epsilon = 0.5;
   {
-    const dpc::PointSet lattice = dpc::test::LatticeWithDuplicates(2, 60, 3);
-    dpc::DpcParams p;
-    p.d_cut = 15.0;
-    p.rho_min = 0.0;
-    p.delta_min = 40.0;
-    p.epsilon = 0.5;
+    const dpc::DpcParams& p = lattice_params;
     for (const char* name : {"approx-dpc", "s-approx-dpc"}) {
       auto algo = dpc::MakeAlgorithmByName(name);
       CHECK(algo.ok());
@@ -172,6 +174,61 @@ int main() {
         CHECK_EQ(none.centers.size(), 0u);
       }
     }
+  }
+
+  // Cross-tier identity: every kernel tier this host runs must give every
+  // registered algorithm the generic tier's rho/delta/dependency/labels
+  // bit for bit, at 1 and 8 threads. kernels_test proves each kernel
+  // equals the scalar reference per call; this is the whole-algorithm
+  // check on top. Fixtures: the 3000-point Gaussian set (dim 2), the same
+  // generator at dim 5 (the general-dimension column loops, odd
+  // remainder included), and a 2700-point cut of the tied lattice (the
+  // quadratic baselines keep the full 10800 points too slow here).
+  {
+    using dpc::kernels::KernelTier;
+    const std::vector<KernelTier> tiers = dpc::kernels::SupportedTiers();
+    CHECK(tiers.front() == KernelTier::kGeneric);
+    const KernelTier restore = dpc::kernels::ActiveTier();
+
+    dpc::data::GaussianBenchmarkParams wide = small;
+    wide.num_points = 2000;
+    wide.dim = 5;
+    const dpc::PointSet pts5 = dpc::data::GaussianBenchmark(wide);
+    const dpc::PointSet small_lattice =
+        dpc::test::LatticeWithDuplicates(2, 30, 3);
+    dpc::DpcParams wide_params = small_params;
+    wide_params.d_cut = 6000.0;
+    wide_params.delta_min = 20000.0;
+
+    const struct {
+      const char* name;
+      const dpc::PointSet& points;
+      const dpc::DpcParams& params;
+    } fixtures[] = {{"gaussian-2d", pts, small_params},
+                    {"gaussian-5d", pts5, wide_params},
+                    {"lattice", small_lattice, lattice_params}};
+    for (const auto& f : fixtures) {
+      for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
+        auto algo = dpc::MakeAlgorithmByName(name);
+        CHECK(algo.ok());
+        for (const int threads : {1, 8}) {
+          const dpc::ExecutionContext ctx(
+              threads, dpc::ScheduleStrategy::kCostGuided, pool);
+          CHECK(dpc::kernels::SetActiveTier(KernelTier::kGeneric));
+          const dpc::DpcResult generic =
+              algo.value()->Run(f.points, f.params, ctx);
+          CHECK(generic.num_clusters() > 0);
+          for (size_t t = 1; t < tiers.size(); ++t) {
+            CHECK(dpc::kernels::SetActiveTier(tiers[t]));
+            dpc::test::AssertSolutionsEqual(
+                generic, algo.value()->Run(f.points, f.params, ctx));
+          }
+        }
+      }
+      std::printf("%-12s all algorithms identical across %zu kernel tier(s)\n",
+                  f.name, tiers.size());
+    }
+    CHECK(dpc::kernels::SetActiveTier(restore));
   }
 
   std::printf("determinism_test OK\n");
