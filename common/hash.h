@@ -1,7 +1,7 @@
-// Shared hash functors for integer-coordinate keys. Both grid cells
-// (index/grid.h) and LSH bucket keys (index/lsh.h) are vector<int64_t>
-// coordinates hashed into an unordered_map whose equality check is the
-// full coordinate comparison — collisions can never merge distinct keys.
+// Shared hash functors for integer-coordinate keys. LSH bucket keys
+// (index/lsh.h) are vector<int64_t> coordinates hashed into an
+// unordered_map whose equality check is the full coordinate comparison —
+// collisions can never merge distinct keys.
 #ifndef DPC_COMMON_HASH_H_
 #define DPC_COMMON_HASH_H_
 

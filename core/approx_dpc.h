@@ -23,8 +23,8 @@
 // its members at once; turning it off falls back to Ex-DPC-style
 // per-point range counts — identical values, one traversal per point
 // (ablation A of bench_ablation). The rho pass and the peak-election +
-// snap pass both iterate cells partitioned by the §4.5 LPT scheduler
-// under the default cost-guided strategy; S-Approx-DPC reuses both
+// snap pass both iterate cells claimed in the §4.5 LPT order under the
+// default cost-guided strategy; S-Approx-DPC reuses both
 // passes (core/s_approx_dpc.h).
 #ifndef DPC_CORE_APPROX_DPC_H_
 #define DPC_CORE_APPROX_DPC_H_
@@ -185,8 +185,8 @@ class ApproxDpc : public DpcAlgorithm {
   /// delta is exactly the nearest-denser distance (same candidate set as
   /// a global predicate search); on exact-distance ties the dependency
   /// is the densest candidate, where ExDpc::ExactDeltaFor takes the
-  /// smallest id. Under cost-guided scheduling, peaks are LPT-partitioned
-  /// by density rank — denser peaks visit fewer subsets, which rank
+  /// smallest id. Under cost-guided scheduling, peaks are claimed in LPT
+  /// order of density rank — denser peaks visit fewer subsets, which rank
   /// models directly.
   static void ComputePeakDeltasBySubsets(
       const PointSet& points, const std::vector<double>& rho,
@@ -282,13 +282,13 @@ class ApproxDpc : public DpcAlgorithm {
     internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
-    tree.Build(points);
+    tree.Build(points, &exec);
 
     // Grid with cell side d_cut/sqrt(dim), bounding the cell diameter by
     // d_cut (index/grid.h — shared with S-Approx-DPC); its per-cell
     // population doubles as the §4.5 scheduling cost model.
-    const UniformGrid grid(points,
-                           compute.d_cut / std::sqrt(static_cast<double>(dim)));
+    const UniformGrid grid(
+        points, compute.d_cut / std::sqrt(static_cast<double>(dim)), &exec);
     const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();

@@ -46,6 +46,7 @@
 #include "core/rng.h"
 #include "core/status.h"
 #include "parallel/execution_context.h"
+#include "parallel/parallel_for.h"
 
 namespace dpc {
 
@@ -250,6 +251,41 @@ inline std::vector<PointId> DensityOrder(const std::vector<double>& rho) {
   return order;
 }
 
+/// DensityOrder(rho) on the context's pool: one contiguous chunk of ids
+/// per thread is sorted concurrently, then pairs of sorted runs merge
+/// concurrently, round by round. DenserThan is a strict total order (ids
+/// break every rho tie), so the result equals DensityOrder(rho) exactly.
+inline std::vector<PointId> DensityOrder(const std::vector<double>& rho,
+                                         const ExecutionContext& ctx) {
+  const int64_t n = static_cast<int64_t>(rho.size());
+  const int64_t runs = ctx.threads();
+  if (runs <= 1 || n < internal::kMinParallelIterations) {
+    return DensityOrder(rho);
+  }
+  const auto denser = [&rho](PointId a, PointId b) {
+    return DenserThan(rho[static_cast<size_t>(a)], a, rho[static_cast<size_t>(b)], b);
+  };
+  // Run k spans [bound(k), bound(k + 1)); bound clamps past the last run.
+  const auto bound = [n, runs](int64_t k) { return std::min(k, runs) * n / runs; };
+  std::vector<PointId> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), PointId{0});
+  ParallelTasks(ctx, runs, [&](int64_t k) {
+    std::sort(order.begin() + bound(k), order.begin() + bound(k + 1), denser);
+  });
+  std::vector<PointId> merged(static_cast<size_t>(n));
+  for (int64_t width = 1; width < runs; width *= 2) {
+    ParallelTasks(ctx, (runs + 2 * width - 1) / (2 * width), [&](int64_t m) {
+      const int64_t lo = bound(2 * m * width);
+      const int64_t mid = bound((2 * m + 1) * width);
+      const int64_t hi = bound((2 * m + 2) * width);
+      std::merge(order.begin() + lo, order.begin() + mid, order.begin() + mid,
+                 order.begin() + hi, merged.begin() + lo, denser);
+    });
+    order.swap(merged);
+  }
+  return order;
+}
+
 /// The compute phase's reusable artifact: everything the expensive
 /// phases produced, plus the metadata that identifies which (points,
 /// algorithm, compute params) it answers for and what it cost. Any
@@ -263,8 +299,9 @@ struct DpcSolution {
   std::vector<double> rho;          ///< local density per point
   std::vector<double> delta;        ///< dependent distance (+inf for the peak)
   std::vector<PointId> dependency;  ///< nearest denser neighbor (-1 for the peak)
-  /// Ids densest-first (DensityOrder(rho)), precomputed once so every
-  /// re-threshold is a sort-free O(n) pass. Empty for interrupted solves.
+  /// Ids densest-first (DensityOrder(rho), sorted on the solve's pool),
+  /// precomputed once so every re-threshold is a sort-free O(n) pass.
+  /// Empty for interrupted solves.
   std::vector<PointId> density_order;
 
   DpcStats stats;  ///< compute phases only; label_seconds stays 0
@@ -476,7 +513,8 @@ class DpcAlgorithm {
                     uint64_t points_fingerprint = 0) {
     obs::Trace* const trace = ctx.trace();
     const uint64_t solve_start_ns = trace != nullptr ? obs::Trace::NowNs() : 0;
-    DpcSolution solution = SolveImpl(points, compute, ResolveContext(ctx));
+    const ExecutionContext resolved = ResolveContext(ctx);
+    DpcSolution solution = SolveImpl(points, compute, resolved);
     const uint64_t impl_end_ns = trace != nullptr ? obs::Trace::NowNs() : 0;
     solution.algorithm = std::string(name());
     solution.compute = compute;
@@ -487,7 +525,7 @@ class DpcAlgorithm {
                                     solution.stats.rho_seconds +
                                     solution.stats.delta_seconds;
     if (!solution.interrupted()) {
-      solution.density_order = DensityOrder(solution.rho);
+      solution.density_order = DensityOrder(solution.rho, resolved);
     }
     if (trace != nullptr) {
       internal::RecordSolvePhaseSpans(trace, ctx.span_parent(), solve_start_ns,

@@ -10,8 +10,8 @@
 // (FinalizeSolution / the Run shim).
 //
 // Both per-point phases are embarrassingly parallel over the immutable
-// tree. Under the default cost-guided strategy they iterate grid cells
-// partitioned by the §4.5 LPT scheduler (cost = |P(c)|); static/dynamic
+// tree. Under the default cost-guided strategy threads claim grid cells
+// in the §4.5 LPT order (cost = |P(c)|, largest first); static/dynamic
 // strategies split the plain id range instead. Either way each point's
 // slot is written exactly once, so results are strategy- and
 // thread-count independent.
@@ -67,9 +67,9 @@ class ExDpc : public DpcAlgorithm {
     internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
-    tree.Build(points);
+    tree.Build(points, &exec);
 
-    // Cost-guided scheduling partitions whole grid cells by population
+    // Cost-guided scheduling hands out whole grid cells by population
     // (§4.5). The grid is pure scheduling metadata — only built when a
     // parallel region will actually form (several threads, enough work),
     // and never charged to the index-memory stat (the paper's Ex-DPC
@@ -81,7 +81,8 @@ class ExDpc : public DpcAlgorithm {
     std::vector<double> cell_costs;
     if (cost_guided) {
       grid.Build(points,
-                 compute.d_cut / std::sqrt(static_cast<double>(points.dim())));
+                 compute.d_cut / std::sqrt(static_cast<double>(points.dim())),
+                 &exec);
       cell_costs = grid.CellCosts();
     }
     result.stats.build_seconds = phase.Lap();

@@ -85,15 +85,15 @@ class SApproxDpc : public DpcAlgorithm {
     internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
-    tree.Build(points);
-    const UniformGrid grid(points,
-                           compute.d_cut / std::sqrt(static_cast<double>(dim)));
+    tree.Build(points, &exec);
+    const UniformGrid grid(
+        points, compute.d_cut / std::sqrt(static_cast<double>(dim)), &exec);
     const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
 
     // rho and the peak-election + snap pass are Approx-DPC's own
     // (core/approx_dpc.h): the §4.2 joint range count, then one parallel
-    // pass over cells, both LPT-partitioned by default.
+    // pass over cells, both claimed in LPT order by default.
     ApproxDpc::JointRangeRho(points, tree, grid, cell_costs, compute.d_cut,
                              exec, &result.rho);
     result.stats.rho_seconds = phase.Lap();
@@ -127,7 +127,7 @@ class SApproxDpc : public DpcAlgorithm {
       }
     }
     KdTree candidate_tree;
-    candidate_tree.Build(candidates);
+    candidate_tree.Build(candidates, &exec);
     result.stats.index_memory_bytes =
         tree.MemoryBytes() + grid.MemoryBytes() + candidate_tree.MemoryBytes() +
         candidates.raw().capacity() * sizeof(double) +
@@ -135,7 +135,7 @@ class SApproxDpc : public DpcAlgorithm {
 
     // Peaks: nearest denser neighbor among the sampled candidates.
     // ParallelForWithCosts dispatches on the strategy itself; under
-    // cost-guided, peaks are LPT-partitioned with cost ~ rho (denser
+    // cost-guided, peaks are claimed in LPT order of cost ~ rho (denser
     // peaks accept fewer candidates, so their searches tighten the
     // distance bound later and do more work).
     std::vector<double> peak_costs(peaks.size());

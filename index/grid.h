@@ -6,49 +6,126 @@
 //
 // Cells are keyed by their exact integer coordinates (hash collisions
 // fall back to coordinate equality), so distant cells can never silently
-// merge. Build is serial and cells are stored in first-touch (= point-id)
-// order, which keeps every consumer deterministic regardless of thread
-// count.
+// merge. Cells are stored in first-touch (= point-id) order and each
+// cell's members ascend, which keeps every consumer deterministic
+// regardless of thread count.
+//
+// Build computes every point's integer cell coordinates and their hash on
+// the context's pool, then makes one serial first-touch pass that assigns
+// CellIds through a flat open-addressing table and counts each cell's
+// population, and fills every member list at its exact size. The grid is
+// the same at any thread count.
 #ifndef DPC_INDEX_GRID_H_
 #define DPC_INDEX_GRID_H_
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
 #include "core/dpc.h"
+#include "parallel/parallel_for.h"
 
 namespace dpc {
 
 /// A grid cell's position in first-touch order — the unit the §4.5 LPT
-/// scheduler partitions across threads.
+/// order hands out to threads.
 using CellId = int64_t;
 
 class UniformGrid {
  public:
   UniformGrid() = default;
-  UniformGrid(const PointSet& points, double cell_side) {
-    Build(points, cell_side);
+  UniformGrid(const PointSet& points, double cell_side,
+              const ExecutionContext* ctx = nullptr) {
+    Build(points, cell_side, ctx);
   }
 
-  void Build(const PointSet& points, double cell_side) {
+  /// (Re)builds over `points`. A context with several threads computes
+  /// the cell keys on its pool once n reaches kMinParallelIterations;
+  /// null computes them serially.
+  void Build(const PointSet& points, double cell_side,
+             const ExecutionContext* ctx = nullptr) {
     cell_side_ = cell_side;
-    cells_.clear();
-    index_.clear();
     const PointId n = points.size();
-    const int dim = points.dim();
-    index_.reserve(static_cast<size_t>(n) / 4 + 16);
-    CellCoords key(static_cast<size_t>(dim));
-    for (PointId i = 0; i < n; ++i) {
-      for (int d = 0; d < dim; ++d) {
-        key[static_cast<size_t>(d)] =
-            static_cast<int64_t>(std::floor(points[i][d] / cell_side));
+    const size_t dim = static_cast<size_t>(points.dim());
+
+    // keys: dim integer coordinates per point; cell_of[i]: point i's key
+    // hash, until the first-touch pass replaces it with i's CellId.
+    std::vector<int64_t> keys(static_cast<size_t>(n) * dim);
+    std::vector<uint64_t> cell_of(static_cast<size_t>(n));
+    const auto compute_keys = [&](PointId begin, PointId end) {
+      for (PointId i = begin; i < end; ++i) {
+        int64_t* key = keys.data() + static_cast<size_t>(i) * dim;
+        uint64_t h = 0;
+        for (size_t d = 0; d < dim; ++d) {
+          key[d] = static_cast<int64_t>(std::floor(points[i][d] / cell_side));
+          h = (h ^ static_cast<uint64_t>(key[d])) * 0x9e3779b97f4a7c15ULL;
+          h ^= h >> 32;
+        }
+        cell_of[static_cast<size_t>(i)] = h;
       }
-      const auto [it, inserted] = index_.try_emplace(key, cells_.size());
-      if (inserted) cells_.emplace_back();
-      cells_[it->second].push_back(i);
+    };
+    if (ctx != nullptr && ctx->threads() > 1 &&
+        n >= internal::kMinParallelIterations) {
+      const int64_t tasks = 4 * static_cast<int64_t>(ctx->threads());
+      const PointId chunk = (n + tasks - 1) / tasks;
+      ParallelTasks(*ctx, tasks, [&](int64_t t) {
+        compute_keys(std::min(n, t * chunk), std::min(n, (t + 1) * chunk));
+      });
+    } else {
+      compute_keys(0, n);
+    }
+
+    // First-touch pass over a linear-probing table of CellIds (-1 =
+    // empty), kept at most half full. A cell's key is the keys row of its
+    // first point.
+    std::vector<PointId> first;           // per cell: first-touch point
+    std::vector<uint64_t> cell_hash;      // per cell: its key hash
+    std::vector<PointId> population;      // per cell: member count
+    std::vector<CellId> table;
+    const auto place = [&](CellId cell) {
+      size_t slot = cell_hash[static_cast<size_t>(cell)] & (table.size() - 1);
+      while (table[slot] >= 0) slot = (slot + 1) & (table.size() - 1);
+      table[slot] = cell;
+    };
+    table.assign(std::bit_ceil(std::max<size_t>(64, static_cast<size_t>(n) / 8)),
+                 CellId{-1});
+    for (PointId i = 0; i < n; ++i) {
+      const uint64_t h = cell_of[static_cast<size_t>(i)];
+      const int64_t* key = keys.data() + static_cast<size_t>(i) * dim;
+      size_t slot = h & (table.size() - 1);
+      CellId cell = table[slot];
+      while (cell >= 0 &&
+             (cell_hash[static_cast<size_t>(cell)] != h ||
+              !std::equal(key, key + dim,
+                          keys.data() + static_cast<size_t>(
+                                            first[static_cast<size_t>(cell)]) *
+                                            dim))) {
+        slot = (slot + 1) & (table.size() - 1);
+        cell = table[slot];
+      }
+      if (cell < 0) {
+        cell = static_cast<CellId>(first.size());
+        first.push_back(i);
+        cell_hash.push_back(h);
+        population.push_back(0);
+        table[slot] = cell;
+        if (2 * first.size() > table.size()) {
+          table.assign(2 * table.size(), CellId{-1});
+          for (CellId c = 0; c <= cell; ++c) place(c);
+        }
+      }
+      ++population[static_cast<size_t>(cell)];
+      cell_of[static_cast<size_t>(i)] = static_cast<uint64_t>(cell);
+    }
+
+    cells_ = std::vector<std::vector<PointId>>(first.size());
+    for (size_t c = 0; c < cells_.size(); ++c) {
+      cells_[c].reserve(static_cast<size_t>(population[c]));
+    }
+    for (PointId i = 0; i < n; ++i) {
+      cells_[cell_of[static_cast<size_t>(i)]].push_back(i);
     }
   }
 
@@ -101,22 +178,12 @@ class UniformGrid {
     for (const auto& members : cells_) {
       bytes += members.capacity() * sizeof(PointId);
     }
-    // unordered_map overhead: one bucket pointer + one node per cell,
-    // plus each key's coordinate storage.
-    bytes += index_.bucket_count() * sizeof(void*) +
-             index_.size() * (sizeof(CellCoords) + 2 * sizeof(void*) + sizeof(size_t));
-    for (const auto& entry : index_) {
-      bytes += entry.first.capacity() * sizeof(int64_t);
-    }
     return bytes;
   }
 
  private:
-  using CellCoords = std::vector<int64_t>;
-
   double cell_side_ = 0.0;
   std::vector<std::vector<PointId>> cells_;  ///< members per CellId
-  std::unordered_map<CellCoords, size_t, Int64VectorHash> index_;
 };
 
 }  // namespace dpc

@@ -17,17 +17,32 @@
 // run of SoA positions and the leaf loops run on the batched kernels of
 // core/kernels.h instead of per-point scalar distance calls. Results are
 // bit-identical to the scalar loops (see core/kernels.h).
+//
+// Parallel build contract: nodes are stored in pre-order and every inner
+// node splits its range at the median position, so a subtree's node
+// count depends only on its point count (SubtreeNodes). Every node's id,
+// its right child's id and its box offset (id * 2 * dim) are therefore
+// fixed before the build starts, and nodes_/boxes_ are sized exactly up
+// front. Build(points, &ctx) fills the top levels one level at a time
+// (each node of a level is one pool task), then builds the subtrees below
+// them as pool tasks. A node's nth_element sees exactly the perm_ range
+// its ancestors left it, whichever thread runs it, so perm_, nodes_ and
+// boxes_ come out byte-identical to the serial build — and so does every
+// query answer, at any thread count.
 #ifndef DPC_INDEX_KDTREE_H_
 #define DPC_INDEX_KDTREE_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/dpc.h"
 #include "core/kernels.h"
 #include "core/soa.h"
+#include "parallel/parallel_for.h"
 
 namespace dpc {
 
@@ -40,18 +55,31 @@ class KdTree {
   /// the tree).
   explicit KdTree(const PointSet& points) { Build(points); }
 
-  void Build(const PointSet& points) {
+  /// (Re)builds over `points` (which must outlive the tree). A context
+  /// with several threads builds on its pool once n reaches
+  /// kMinParallelIterations (see the header); null builds serially. The
+  /// tree is the same either way.
+  void Build(const PointSet& points, const ExecutionContext* ctx = nullptr) {
     points_ = &points;
     dim_ = points.dim();
     const PointId n = points.size();
-    perm_.resize(static_cast<size_t>(n));
-    for (PointId i = 0; i < n; ++i) perm_[static_cast<size_t>(i)] = i;
-    nodes_.clear();
-    boxes_.clear();
-    nodes_.reserve(static_cast<size_t>(2 * n / kLeafSize + 4));
-    if (n > 0) BuildNode(0, n);
+    // Fresh vectors: capacities are exact, so MemoryBytes() depends only
+    // on the input, never on build history or thread count.
+    perm_ = std::vector<PointId>(static_cast<size_t>(n));
+    std::iota(perm_.begin(), perm_.end(), PointId{0});
+    const int64_t num_nodes = n > 0 ? SubtreeNodes(n).first : 0;
+    nodes_ = std::vector<Node>(static_cast<size_t>(num_nodes));
+    boxes_ = std::vector<double>(static_cast<size_t>(num_nodes) * 2 *
+                                 static_cast<size_t>(dim_));
+    if (ctx != nullptr && ctx->threads() > 1 &&
+        n >= internal::kMinParallelIterations) {
+      BuildParallel(*ctx);
+    } else if (n > 0) {
+      BuildSubtree(0, 0, n);
+    }
     // Leaf-contiguous SoA view (perm_ order); perm_ already maps
     // positions back to ids, so the view needn't store its own copy.
+    soa_ = PointSetSoA();
     soa_.Assign(points, perm_.data(), n, /*store_ids=*/false);
   }
 
@@ -167,14 +195,30 @@ class KdTree {
     int32_t box = 0;         // offset into boxes_ (2 * dim_ doubles: lo, hi)
   };
 
-  int32_t BuildNode(PointId begin, PointId end) {
-    const int32_t id = static_cast<int32_t>(nodes_.size());
-    nodes_.push_back(Node{});
-    Node node;
+  /// Node counts of the median-split subtrees over k and k + 1 points.
+  /// Sizes one level down are floor/ceil halves, all within {k/2,
+  /// k/2 + 1}, so one pair per level suffices: O(log k).
+  static std::pair<int64_t, int64_t> SubtreeNodes(PointId k) {
+    if (k + 1 <= kLeafSize) return {1, 1};
+    const PointId half = k / 2;
+    const auto [at_half, above_half] = SubtreeNodes(half);
+    const auto count = [&](PointId m) -> int64_t {
+      if (m <= kLeafSize) return 1;
+      return 1 + (m / 2 == half ? at_half : above_half) +
+             (m - m / 2 == half ? at_half : above_half);
+    };
+    return {count(k), count(k + 1)};
+  }
+
+  /// Fills node `id` over perm_[begin, end): its range, its bounding box
+  /// and, when it holds more than kLeafSize points, the median split of
+  /// perm_ along the box's widest dimension. Returns the split position,
+  /// or -1 for a leaf; linking the children is the caller's job.
+  PointId FillNode(int32_t id, PointId begin, PointId end) {
+    Node& node = nodes_[static_cast<size_t>(id)];
     node.begin = begin;
     node.end = end;
-    node.box = static_cast<int32_t>(boxes_.size());
-    boxes_.resize(boxes_.size() + static_cast<size_t>(2 * dim_));
+    node.box = static_cast<int32_t>(static_cast<int64_t>(id) * 2 * dim_);
     double* lo = boxes_.data() + node.box;
     double* hi = lo + dim_;
     for (int d = 0; d < dim_; ++d) {
@@ -188,30 +232,74 @@ class KdTree {
         hi[d] = std::max(hi[d], p[d]);
       }
     }
-    if (end - begin > kLeafSize) {
-      // Split at the median of the widest dimension.
-      int split_dim = 0;
-      double widest = -1.0;
-      for (int d = 0; d < dim_; ++d) {
-        const double w = hi[d] - lo[d];
-        if (w > widest) {
-          widest = w;
-          split_dim = d;
-        }
+    if (end - begin <= kLeafSize) return -1;
+    // Split at the median of the widest dimension.
+    int split_dim = 0;
+    double widest = -1.0;
+    for (int d = 0; d < dim_; ++d) {
+      const double w = hi[d] - lo[d];
+      if (w > widest) {
+        widest = w;
+        split_dim = d;
       }
-      const PointId mid = begin + (end - begin) / 2;
-      std::nth_element(perm_.begin() + begin, perm_.begin() + mid,
-                       perm_.begin() + end, [this, split_dim](PointId a, PointId b) {
-                         return (*points_)[a][split_dim] < (*points_)[b][split_dim];
-                       });
-      // boxes_ may reallocate during recursion; don't hold lo/hi across it.
-      const int32_t left = BuildNode(begin, mid);
-      const int32_t right = BuildNode(mid, end);
-      node.left = left;
-      node.right = right;
     }
-    nodes_[static_cast<size_t>(id)] = node;
-    return id;
+    const PointId mid = begin + (end - begin) / 2;
+    std::nth_element(perm_.begin() + begin, perm_.begin() + mid,
+                     perm_.begin() + end, [this, split_dim](PointId a, PointId b) {
+                       return (*points_)[a][split_dim] < (*points_)[b][split_dim];
+                     });
+    return mid;
+  }
+
+  /// Builds the subtree over perm_[begin, end) rooted at node `id`, in
+  /// pre-order (left subtree from id + 1, right subtree after it).
+  /// Returns the id one past its last node.
+  int32_t BuildSubtree(int32_t id, PointId begin, PointId end) {
+    const PointId mid = FillNode(id, begin, end);
+    if (mid < 0) return id + 1;
+    const int32_t right = BuildSubtree(id + 1, begin, mid);
+    Node& node = nodes_[static_cast<size_t>(id)];
+    node.left = id + 1;
+    node.right = right;
+    return BuildSubtree(right, mid, end);
+  }
+
+  /// The pool build: top levels one level at a time until a level holds
+  /// 8 nodes per thread, then one task per remaining subtree. Median
+  /// splits make those subtrees equal-sized to within one point.
+  void BuildParallel(const ExecutionContext& ctx) {
+    struct Pending {
+      int32_t id;
+      PointId begin;
+      PointId end;
+    };
+    std::vector<Pending> level{{0, 0, size()}};
+    std::vector<Pending> next;
+    const size_t frontier = 8 * static_cast<size_t>(ctx.threads());
+    while (!level.empty() && level.size() < frontier) {
+      // Slots 2k and 2k + 1 take node k's children; a leaf leaves its
+      // slots at id -1, and they are dropped below.
+      next.assign(2 * level.size(), Pending{-1, 0, 0});
+      ParallelTasks(ctx, static_cast<int64_t>(level.size()), [&](int64_t k) {
+        const Pending& p = level[static_cast<size_t>(k)];
+        const PointId mid = FillNode(p.id, p.begin, p.end);
+        if (mid < 0) return;
+        Node& node = nodes_[static_cast<size_t>(p.id)];
+        node.left = p.id + 1;
+        node.right = static_cast<int32_t>(node.left +
+                                          SubtreeNodes(mid - p.begin).first);
+        next[2 * static_cast<size_t>(k)] = {node.left, p.begin, mid};
+        next[2 * static_cast<size_t>(k) + 1] = {node.right, mid, p.end};
+      });
+      next.erase(std::remove_if(next.begin(), next.end(),
+                                [](const Pending& p) { return p.id < 0; }),
+                 next.end());
+      level.swap(next);
+    }
+    ParallelTasks(ctx, static_cast<int64_t>(level.size()), [&](int64_t k) {
+      const Pending& p = level[static_cast<size_t>(k)];
+      BuildSubtree(p.id, p.begin, p.end);
+    });
   }
 
   /// Squared distance from q to the node's bounding box (0 if inside).

@@ -28,8 +28,9 @@ namespace dpc {
 enum class ScheduleStrategy {
   kStatic,      ///< contiguous equal-count chunks, one per thread
   kDynamic,     ///< threads claim fixed-grain chunks from a shared counter
-  kCostGuided,  ///< LPT bins over a per-item cost model (paper §4.5);
-                ///< loops without a cost model fall back to dynamic
+  kCostGuided,  ///< items claimed online in LPT order (cost desc) of a
+                ///< per-item cost model (paper §4.5); loops without a
+                ///< cost model fall back to dynamic
 };
 
 inline const char* ToString(ScheduleStrategy strategy) {

@@ -1,15 +1,22 @@
 // Cost-based cell -> thread partitioning (paper §4.5). The grid-based
 // algorithms know, before a phase starts, roughly how much work each cell
-// holds (index/grid.h's CellCosts hook); assigning whole cells to threads
-// with longest-processing-time-first (LPT) keeps every thread's total
-// cost near the mean, where naive strategies leave one thread holding the
+// holds (index/grid.h's CellCosts hook); handing out whole cells
+// longest-processing-time-first (LPT) keeps every thread's total cost
+// near the mean, where naive strategies leave one thread holding the
 // densest cells. LPT is the classic 4/3-approximation of the optimal
 // makespan. HashSchedule is the strawman the paper compares against
 // (LSH-DDP's id-modulo-thread partitioning).
 //
+// The parallel loops (parallel/parallel_for.h) use only LptOrder: threads
+// claim items online in that order, so an item that runs longer than its
+// cost says delays only the thread running it. LptSchedule fixes the bins
+// up front from the costs alone; it remains the offline model that
+// ShardPool's width search, the lpt_imbalance probe and bench_ablation's
+// LPT-vs-hash comparison read.
+//
 // Scheduling is deterministic: items are ordered by (cost desc, id asc)
 // and load ties pick the smallest bin id, so a fixed cost vector always
-// produces the same assignment.
+// produces the same order and assignment.
 #ifndef DPC_PARALLEL_LPT_SCHEDULER_H_
 #define DPC_PARALLEL_LPT_SCHEDULER_H_
 
@@ -43,28 +50,31 @@ struct Schedule {
   }
 };
 
-/// Longest-processing-time-first: items in descending cost order, each
-/// assigned to the currently least-loaded bin.
-inline Schedule LptSchedule(const std::vector<double>& costs, int num_bins) {
-  Schedule s;
-  const int bins = num_bins > 0 ? num_bins : 1;
-  s.bins.resize(static_cast<size_t>(bins));
-  s.load.assign(static_cast<size_t>(bins), 0.0);
-
-  const int64_t n = static_cast<int64_t>(costs.size());
-  std::vector<int64_t> order(static_cast<size_t>(n));
+/// Item ids in LPT order: cost descending, id ascending among equal costs.
+inline std::vector<int64_t> LptOrder(const std::vector<double>& costs) {
+  std::vector<int64_t> order(costs.size());
   std::iota(order.begin(), order.end(), int64_t{0});
   std::sort(order.begin(), order.end(), [&costs](int64_t a, int64_t b) {
     const double ca = costs[static_cast<size_t>(a)];
     const double cb = costs[static_cast<size_t>(b)];
     return ca > cb || (ca == cb && a < b);
   });
+  return order;
+}
+
+/// Longest-processing-time-first: items in LptOrder, each assigned to the
+/// currently least-loaded bin.
+inline Schedule LptSchedule(const std::vector<double>& costs, int num_bins) {
+  Schedule s;
+  const int bins = num_bins > 0 ? num_bins : 1;
+  s.bins.resize(static_cast<size_t>(bins));
+  s.load.assign(static_cast<size_t>(bins), 0.0);
 
   // Min-heap of (load, bin id); the pair order breaks load ties by bin id.
   using Slot = std::pair<double, int>;
   std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> heap;
   for (int t = 0; t < bins; ++t) heap.emplace(0.0, t);
-  for (const int64_t item : order) {
+  for (const int64_t item : LptOrder(costs)) {
     auto [load, t] = heap.top();
     heap.pop();
     s.bins[static_cast<size_t>(t)].push_back(item);

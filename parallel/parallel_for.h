@@ -6,21 +6,24 @@
 //   ParallelFor          index ranges without a cost model (per-point
 //                        phases): static chunks or dynamic claiming.
 //   ParallelForWithCosts per-item loops with a cost model (grid cells,
-//                        §4.5): cost-guided builds an LPT schedule with
-//                        one bin per thread.
+//                        §4.5): cost-guided sorts the items into LPT
+//                        order and threads claim them one at a time.
+//   ParallelTasks        a fixed set of build tasks (index construction,
+//                        sort chunks) that always runs to completion.
 //
 // Every variant calls fn on each index/item exactly once with disjoint
 // slices, so loops whose writes are per-slot disjoint stay deterministic
 // across strategies and thread counts — the library-wide contract that
 // tests/determinism_test.cc enforces.
 //
-// Cancellation: both loops poll ctx.ShouldStop() amortized (every
-// kStopCheckStride indices / every claimed item) and stop issuing work
-// once it fires, so an expired or cancelled request releases the pool
-// mid-phase instead of at the next phase boundary. A stopped loop leaves
-// later indices unvisited — callers observe the same ShouldStop() at the
-// phase boundary (stop state is sticky) and discard the partial phase
-// via internal::Interrupted.
+// Cancellation: ParallelFor and ParallelForWithCosts poll ctx.ShouldStop()
+// amortized (every kStopCheckStride indices / every claimed item) and
+// stop issuing work once it fires, so an expired or cancelled request
+// releases the pool mid-phase instead of at the next phase boundary. A
+// stopped loop leaves later indices unvisited — callers observe the same
+// ShouldStop() at the phase boundary (stop state is sticky) and discard
+// the partial phase via internal::Interrupted. ParallelTasks never stops
+// early: a half-built index must never be queried.
 #ifndef DPC_PARALLEL_PARALLEL_FOR_H_
 #define DPC_PARALLEL_PARALLEL_FOR_H_
 
@@ -117,12 +120,37 @@ void ParallelForStaticChunks(const ExecutionContext& ctx, int64_t n,
   });
 }
 
+/// Calls fn(task) for every task in [0, num_tasks) on up to ctx.threads()
+/// threads, each claiming the next task from a shared counter. Ignores
+/// the strategy and the stop state: callers are index builds and sorts
+/// whose partial output would be wrong, not merely late.
+template <typename Fn>
+void ParallelTasks(const ExecutionContext& ctx, int64_t num_tasks,
+                   const Fn& fn) {
+  const int threads =
+      static_cast<int>(std::min<int64_t>(ctx.threads(), num_tasks));
+  if (threads <= 1) {
+    for (int64_t task = 0; task < num_tasks; ++task) fn(task);
+    return;
+  }
+  std::atomic<int64_t> next{0};
+  ctx.pool().Run(threads, [&](int64_t) {
+    for (;;) {
+      const int64_t task = next.fetch_add(1, std::memory_order_relaxed);
+      if (task >= num_tasks) break;
+      fn(task);
+    }
+  });
+}
+
 /// Calls fn(item) for every item in [0, costs.size()), where costs[item]
 /// models the item's work (index/grid.h::CellCosts for grid cells).
-/// kCostGuided partitions items with the §4.5 LPT scheduler, one bin per
-/// thread; kStatic splits into contiguous equal-count runs; kDynamic
-/// claims single items. Items are heavy by definition (a cell's whole
-/// point population), so the stop poll runs per item.
+/// kCostGuided hands items out in LPT order (cost desc, id asc; §4.5),
+/// each thread claiming the next one when it finishes its last, so a
+/// mis-costed item delays only its own thread; kStatic splits into
+/// contiguous equal-count runs; kDynamic claims single items in id
+/// order. Items are heavy by definition (a cell's whole point
+/// population), so the stop poll runs per item.
 template <typename Fn>
 void ParallelForWithCosts(const ExecutionContext& ctx,
                           const std::vector<double>& costs, const Fn& fn) {
@@ -155,23 +183,19 @@ void ParallelForWithCosts(const ExecutionContext& ctx,
       });
       break;
     }
-    case ScheduleStrategy::kDynamic: {
+    case ScheduleStrategy::kDynamic:
+    case ScheduleStrategy::kCostGuided: {
+      // Online claiming: dynamic in id order, cost-guided in LPT order.
+      std::vector<int64_t> order;
+      if (ctx.strategy() == ScheduleStrategy::kCostGuided) {
+        order = LptOrder(costs);
+      }
       std::atomic<int64_t> next{0};
       ctx.pool().Run(threads, [&](int64_t) {
         for (;;) {
-          const int64_t item = next.fetch_add(1, std::memory_order_relaxed);
-          if (item >= n || ctx.ShouldStop()) break;
-          fn(item);
-        }
-      });
-      break;
-    }
-    case ScheduleStrategy::kCostGuided: {
-      const Schedule schedule = LptSchedule(costs, threads);
-      ctx.pool().Run(threads, [&](int64_t t) {
-        for (const int64_t item : schedule.bins[static_cast<size_t>(t)]) {
-          if (ctx.ShouldStop()) return;
-          fn(item);
+          const int64_t k = next.fetch_add(1, std::memory_order_relaxed);
+          if (k >= n || ctx.ShouldStop()) break;
+          fn(order.empty() ? k : order[static_cast<size_t>(k)]);
         }
       });
       break;

@@ -20,6 +20,7 @@
 #include "data/generators.h"
 #include "index/grid.h"
 #include "parallel/execution_context.h"
+#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -57,6 +58,44 @@ int main() {
     dpc::test::AssertSolutionsEqual(serial, parallel);
 
     CHECK(serial.num_clusters() > 0);
+  }
+
+  // The Solve path at 1, 2 and 8 threads on the 8000-point set, which is
+  // above the parallel-region guard for the kd-tree build (S-Approx-DPC's
+  // candidate tree too), the grid build and the density-order sort:
+  // rho/delta/dependency, the stamped density order and the labels must
+  // be bit-identical, and the parallel order must equal DensityOrder.
+  {
+    CHECK(points.size() >= 2 * dpc::internal::kMinParallelIterations);
+    auto sweep_pool = std::make_shared<dpc::ThreadPool>(8);
+    dpc::ComputeParams compute = params.compute();
+    compute.epsilon = 0.5;
+    for (const char* name : {"ex-dpc", "approx-dpc", "s-approx-dpc"}) {
+      auto algo = dpc::MakeAlgorithmByName(name);
+      CHECK(algo.ok());
+      const dpc::DpcSolution serial = algo.value()->Solve(
+          points, compute,
+          dpc::ExecutionContext(1, dpc::ScheduleStrategy::kCostGuided,
+                                sweep_pool));
+      CHECK(serial.density_order == dpc::DensityOrder(serial.rho));
+      const dpc::Labeling serial_labels =
+          dpc::LabelSolution(serial, params.threshold());
+      CHECK(!serial_labels.centers.empty());
+      for (const int threads : {2, 8}) {
+        const dpc::DpcSolution wide = algo.value()->Solve(
+            points, compute,
+            dpc::ExecutionContext(threads, dpc::ScheduleStrategy::kCostGuided,
+                                  sweep_pool));
+        CHECK(wide.rho == serial.rho);
+        CHECK(wide.delta == serial.delta);
+        CHECK(wide.dependency == serial.dependency);
+        CHECK(wide.density_order == serial.density_order);
+        const dpc::Labeling labels = dpc::LabelSolution(wide, params.threshold());
+        CHECK(labels.label == serial_labels.label);
+        CHECK(labels.centers == serial_labels.centers);
+      }
+      std::printf("%-12s Solve identical across 1/2/8 threads\n", name);
+    }
   }
 
   // The sampled algorithms draw their randomness from seeded hashes

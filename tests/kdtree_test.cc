@@ -1,15 +1,20 @@
 // kd-tree vs brute force: range count, range report, and
 // nearest-accepted-neighbor on random point sets across dimensions, and
 // on a duplicated lattice where exact-distance ties break to the
-// smallest id.
+// smallest id. Parallel builds at 2 and 8 threads must reproduce the
+// serial tree: every query answer and the memory footprint.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/dpc.h"
 #include "core/rng.h"
 #include "index/kdtree.h"
+#include "parallel/execution_context.h"
+#include "parallel/parallel_for.h"
+#include "parallel/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -93,6 +98,72 @@ int CheckAgainstBruteForce(const dpc::PointSet& points, uint64_t seed) {
   return tied_queries;
 }
 
+/// Builds `points` serially and on a pool at 2 and 8 threads, and checks
+/// the parallel trees answer like the serial one from 200 seeded queries:
+/// RangeCount, RangeReport in traversal order (which follows the node
+/// layout and perm order, so it differs if the trees do), JointRangeCount
+/// over a query cell's bounding box, NearestAccepted (id and distance),
+/// plus equal MemoryBytes — also for a tree object reused from a larger
+/// build.
+void CheckParallelBuildMatchesSerial(const dpc::PointSet& points,
+                                     double radius, uint64_t seed) {
+  const dpc::PointId n = points.size();
+  const int dim = points.dim();
+  CHECK(n >= 2 * dpc::internal::kMinParallelIterations);
+  dpc::KdTree serial;
+  serial.Build(points);
+  const dpc::PointSet larger = RandomPoints(dim, 2 * n, seed + 1);
+  auto pool = std::make_shared<dpc::ThreadPool>(8);
+  for (const int threads : {2, 8}) {
+    const dpc::ExecutionContext ctx(threads, dpc::ScheduleStrategy::kCostGuided,
+                                    pool);
+    dpc::KdTree parallel;
+    parallel.Build(points, &ctx);
+    CHECK_EQ(parallel.size(), n);
+    CHECK_EQ(parallel.MemoryBytes(), serial.MemoryBytes());
+    dpc::KdTree reused;
+    reused.Build(larger, &ctx);
+    reused.Build(points, &ctx);
+    CHECK_EQ(reused.MemoryBytes(), serial.MemoryBytes());
+
+    dpc::Rng rng(seed);
+    for (int trial = 0; trial < 200; ++trial) {
+      const dpc::PointId q = static_cast<dpc::PointId>(rng.NextBelow(n));
+      const double r = radius * rng.Uniform(0.2, 2.0);
+      CHECK_EQ(parallel.RangeCount(points[q], r), serial.RangeCount(points[q], r));
+      std::vector<dpc::PointId> serial_ids, parallel_ids;
+      serial.RangeReport(points[q], r, &serial_ids);
+      parallel.RangeReport(points[q], r, &parallel_ids);
+      CHECK(parallel_ids == serial_ids);
+
+      // The ball's members act as one joint query cell.
+      std::vector<double> lo(static_cast<size_t>(dim),
+                             std::numeric_limits<double>::infinity());
+      std::vector<double> hi(static_cast<size_t>(dim),
+                             -std::numeric_limits<double>::infinity());
+      for (const dpc::PointId i : serial_ids) {
+        for (int d = 0; d < dim; ++d) {
+          lo[static_cast<size_t>(d)] = std::min(lo[static_cast<size_t>(d)], points[i][d]);
+          hi[static_cast<size_t>(d)] = std::max(hi[static_cast<size_t>(d)], points[i][d]);
+        }
+      }
+      std::vector<dpc::PointId> serial_counts, parallel_counts;
+      serial.JointRangeCount(lo.data(), hi.data(), serial_ids, r, &serial_counts);
+      parallel.JointRangeCount(lo.data(), hi.data(), serial_ids, r,
+                               &parallel_counts);
+      CHECK(parallel_counts == serial_counts);
+
+      const auto accept = [q](dpc::PointId j) { return j % 3 != 0 && j != q; };
+      double serial_dist = 0.0, parallel_dist = 0.0;
+      const dpc::PointId serial_nn =
+          serial.NearestAccepted(points[q], accept, &serial_dist);
+      CHECK_EQ(parallel.NearestAccepted(points[q], accept, &parallel_dist),
+               serial_nn);
+      CHECK_EQ(parallel_dist, serial_dist);
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -108,6 +179,12 @@ int main() {
         dpc::test::LatticeWithDuplicates(dim, side, 3);
     CHECK(CheckAgainstBruteForce(lattice, 5) > 0);
   }
+
+  // Parallel builds above the parallel-region guard: a seeded uniform set
+  // and the duplicate-heavy lattice (10800 points, every site 3 times).
+  CheckParallelBuildMatchesSerial(RandomPoints(3, 20000, 8100), 60.0, 17);
+  CheckParallelBuildMatchesSerial(dpc::test::LatticeWithDuplicates(2, 60, 3),
+                                  25.0, 18);
 
   // Empty and tiny trees must not crash.
   dpc::PointSet empty(2);

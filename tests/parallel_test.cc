@@ -155,6 +155,46 @@ int main() {
     CHECK(items.load() < static_cast<int64_t>(costs.size()));
   }
 
+  // Cost-guided claiming under a wrong cost model: item `slow` claims the
+  // smallest cost (so LPT order reaches it last) but runs 100x longer
+  // than any other item. Threads claim items online, so every item is
+  // still visited exactly once at 1, 2 and 8 threads, and a cancel fired
+  // from the first item visited stops the loop between items.
+  {
+    auto pool = std::make_shared<dpc::ThreadPool>(8);
+    std::vector<double> costs(3000);
+    for (size_t i = 0; i < costs.size(); ++i) {
+      costs[i] = 2.0 + static_cast<double>(i % 5);
+    }
+    const int64_t slow = 1234;
+    costs[static_cast<size_t>(slow)] = 1.0;
+    const auto work = [](int64_t rounds) {
+      volatile int64_t sink = 0;
+      for (int64_t r = 0; r < rounds; ++r) sink = sink + r;
+    };
+    for (const int threads : {1, 2, 8}) {
+      const dpc::ExecutionContext ctx(
+          threads, dpc::ScheduleStrategy::kCostGuided, pool);
+      std::vector<int> seen(costs.size(), 0);
+      dpc::ParallelForWithCosts(ctx, costs, [&](int64_t item) {
+        work(item == slow ? 200000 : 2000);
+        seen[static_cast<size_t>(item)]++;
+      });
+      for (const int s : seen) CHECK_EQ(s, 1);
+
+      const dpc::ExecutionContext cancel_ctx(
+          threads, dpc::ScheduleStrategy::kCostGuided, pool);
+      std::atomic<int64_t> visited{0};
+      dpc::ParallelForWithCosts(cancel_ctx, costs, [&](int64_t item) {
+        work(item == slow ? 200000 : 2000);
+        visited.fetch_add(1);
+        cancel_ctx.RequestCancel();
+      });
+      CHECK(visited.load() >= 1);
+      CHECK(visited.load() <= threads);  // at most one in-flight item each
+    }
+  }
+
   // WithFreshStopState: derived per-request contexts share the pool but
   // not the stop state, in both directions.
   {

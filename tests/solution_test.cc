@@ -6,12 +6,15 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/decision_graph.h"
 #include "core/registry.h"
+#include "core/rng.h"
 #include "data/generators.h"
+#include "parallel/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -159,10 +162,32 @@ void TestTopGammaPoints() {
   CHECK_EQ(dpc::TopGammaPoints(rho, delta, 0).size(), 0u);
 }
 
+/// The pool's density order (chunk sorts + merge rounds, what Solve
+/// stamps into DpcSolution::density_order) equals the serial
+/// DensityOrder at every width, including odd run counts, on rho with
+/// heavy ties (7 distinct values, so ids decide most comparisons), and on
+/// the empty and one-point inputs.
+void TestParallelDensityOrder() {
+  auto pool = std::make_shared<dpc::ThreadPool>(8);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{5000}, size_t{20011}}) {
+    dpc::Rng rng(4242 + n);
+    std::vector<double> rho(n);
+    for (double& r : rho) r = static_cast<double>(rng.NextBelow(7));
+    const std::vector<dpc::PointId> expected = dpc::DensityOrder(rho);
+    CHECK_EQ(expected.size(), n);
+    for (const int threads : {1, 2, 3, 8}) {
+      const dpc::ExecutionContext ctx(
+          threads, dpc::ScheduleStrategy::kCostGuided, pool);
+      CHECK(dpc::DensityOrder(rho, ctx) == expected);
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
   TestParamsFactoring();
+  TestParallelDensityOrder();
   TestSolutionThenFinalizeMatchesRunForAllAlgorithms();
   TestInterruptedSolve();
   TestTopGammaPoints();
