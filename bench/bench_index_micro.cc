@@ -1,8 +1,9 @@
 // Micro-benchmarks of the distance kernels and index substrates: the
 // scalar-vs-batched kernel comparison (the SoA fast path's headline
-// numbers), kd-tree build / range count / NN, R-tree range count, grid
-// build, LSH partitioning. These are the primitive costs behind every
-// row of Tables 1 and 6.
+// numbers), the multi-query range count against per-query range counts
+// on kd-tree-leaf-sized runs, kd-tree build / range count / NN, R-tree
+// range count, grid build, LSH partitioning. These are the primitive
+// costs behind every row of Tables 1 and 6.
 //
 // Self-contained harness (no external benchmark framework): each case
 // auto-calibrates its iteration count until the timed region exceeds
@@ -194,6 +195,60 @@ KernelNumbers MeasureKernel(const PointSet& points, const PointSetSoA& soa,
   return out;
 }
 
+/// The §4.2 joint search's fringe-leaf work: nq = 16 queries against
+/// every 32-point run of `soa` (one kd-tree leaf each), as 16 per-query
+/// RangeCountBatch calls per run (scalar_ns) or one RangeCountMultiBatch
+/// call per run (batch_ns); ns per (query, point) pair. Same alternating
+/// min-of-rounds estimator as MeasureKernel.
+KernelNumbers MeasureMultiQuery(const PointSet& points, const PointSetSoA& soa,
+                                double radius) {
+  constexpr PointId kQueries = 16;
+  constexpr PointId kRun = KdTree::kLeafSize;
+  const PointId n = points.size();
+  const int dim = points.dim();
+  const double r_sq = radius * radius;
+  Rng rng(23);
+  std::vector<PointId> ids(static_cast<size_t>(kQueries));
+  for (PointId& id : ids) {
+    id = static_cast<PointId>(rng.NextBounded(static_cast<uint64_t>(n)));
+  }
+  std::vector<double> qcols(static_cast<size_t>(kQueries * dim));
+  for (PointId k = 0; k < kQueries; ++k) {
+    for (int d = 0; d < dim; ++d) {
+      qcols[static_cast<size_t>(d * kQueries + k)] =
+          points[ids[static_cast<size_t>(k)]][d];
+    }
+  }
+  std::vector<PointId> counts(static_cast<size_t>(kQueries));
+  const double pairs = static_cast<double>((n / kRun) * kRun * kQueries);
+  KernelNumbers out;
+  out.scalar_ns = std::numeric_limits<double>::infinity();
+  out.batch_ns = std::numeric_limits<double>::infinity();
+  constexpr int kRepeats = 16;
+  constexpr double kRoundSeconds = 0.06;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    out.scalar_ns = std::min(
+        out.scalar_ns, 1e9 / pairs * SecondsPerOp([&] {
+          for (PointId begin = 0; begin + kRun <= n; begin += kRun) {
+            for (PointId k = 0; k < kQueries; ++k) {
+              counts[static_cast<size_t>(k)] += kernels::RangeCountBatch(
+                  soa, begin, kRun, points[ids[static_cast<size_t>(k)]], r_sq);
+            }
+          }
+          Sink(counts[0]);
+        }, kRoundSeconds));
+    out.batch_ns = std::min(
+        out.batch_ns, 1e9 / pairs * SecondsPerOp([&] {
+          for (PointId begin = 0; begin + kRun <= n; begin += kRun) {
+            kernels::RangeCountMultiBatch(soa, begin, kRun, qcols.data(),
+                                          kQueries, r_sq, counts.data());
+          }
+          Sink(counts[0]);
+        }, kRoundSeconds));
+  }
+  return out;
+}
+
 }  // namespace
 }  // namespace dpc
 
@@ -255,6 +310,19 @@ int main(int argc, char** argv) {
         emit(name, "batch_ns_per_point", nums.batch_ns, "%.2f");
         emit(name, "speedup", nums.speedup(), "%.2fx");
       }
+    }
+    // Informational, not gated: no baseline row exists for it, and the
+    // gate reads only the baseline's rows.
+    for (const int dim : {3, 4, 7}) {
+      const PointSet points = MakeData(4096, dim);
+      const PointSetSoA soa(points);
+      const KernelNumbers nums = MeasureMultiQuery(points, soa, 1000.0);
+      const std::string name =
+          StrFormat("kernel_range_count_multi_dim%d%s", dim, suffix.c_str());
+      json.BeginResult(name);
+      emit(name, "per_query_ns_per_pair", nums.scalar_ns, "%.3f");
+      emit(name, "multi_ns_per_pair", nums.batch_ns, "%.3f");
+      emit(name, "speedup", nums.speedup(), "%.2fx");
     }
   }
   // Back to the widest tier for the index primitives below, as

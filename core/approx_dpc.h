@@ -20,12 +20,17 @@
 //
 // rho is exact. With joint_range_search (§4.2, the default) each grid
 // cell runs ONE shared kd-tree traversal that counts neighbors for all
-// its members at once; turning it off falls back to Ex-DPC-style
-// per-point range counts — identical values, one traversal per point
-// (ablation A of bench_ablation). The rho pass and the peak-election +
-// snap pass both iterate cells claimed in the §4.5 LPT order under the
-// default cost-guided strategy; S-Approx-DPC reuses both
-// passes (core/s_approx_dpc.h).
+// its members at once, and sweeps each fringe leaf once for the whole
+// cell: a cell of at least 8 members makes one RangeCountMultiBatch call
+// per fringe leaf, vectorized across its members; smaller cells make
+// one RangeCountBatch per (leaf, member) (KdTree::JointRangeCount).
+// Turning it off falls back to Ex-DPC-style per-point range counts —
+// identical values, one traversal per point (ablation A of
+// bench_ablation). The rho pass and the peak-election + snap pass both
+// iterate cells claimed in the §4.5 LPT order under the default
+// cost-guided strategy; S-Approx-DPC reuses both passes
+// (core/s_approx_dpc.h). The peaks' exact search walks them in the
+// kd-tree's leaf order, like Ex-DPC's per-point phases.
 #ifndef DPC_CORE_APPROX_DPC_H_
 #define DPC_CORE_APPROX_DPC_H_
 
@@ -318,8 +323,18 @@ class ApproxDpc : public DpcAlgorithm {
         ElectPeaksAndSnap(points, grid, cell_costs, result.rho, exec,
                           &result.delta, &result.dependency);
     if (!exec.ShouldStop()) {
+      // The peaks in the tree's leaf order, so consecutive searches start
+      // from neighboring leaves: one pass over the order with a flag per
+      // point.
+      std::vector<uint8_t> is_peak(static_cast<size_t>(n), 0);
+      for (const PointId p : peaks) is_peak[static_cast<size_t>(p)] = 1;
+      std::vector<PointId> leaf_peaks;
+      leaf_peaks.reserve(peaks.size());
+      for (const PointId i : tree.LeafOrder()) {
+        if (is_peak[static_cast<size_t>(i)] != 0) leaf_peaks.push_back(i);
+      }
       ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
-                                &result.dependency, &peaks);
+                                &result.dependency, &leaf_peaks);
     }
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);

@@ -10,29 +10,30 @@
 // (FinalizeSolution / the Run shim).
 //
 // Both per-point phases are embarrassingly parallel over the immutable
-// tree. Under the default cost-guided strategy threads claim grid cells
-// in the §4.5 LPT order (cost = |P(c)|, largest first); static/dynamic
-// strategies split the plain id range instead. Either way each point's
-// slot is written exactly once, so results are strategy- and
-// thread-count independent.
+// tree, and both walk the points in the tree's leaf order
+// (KdTree::LeafOrder), under every strategy and thread count: consecutive
+// queries start from neighboring leaves, so the nodes and leaf runs they
+// touch are still in cache. Ex-DPC builds no grid. `scheduler=` picks how
+// threads split that order (ParallelFor): static = one contiguous run per
+// thread; dynamic and cost-guided = threads claim grain-sized runs from a
+// shared counter. Each point's slot is written exactly once, so results
+// are strategy- and thread-count independent.
 #ifndef DPC_CORE_EX_DPC_H_
 #define DPC_CORE_EX_DPC_H_
 
-#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "core/dpc.h"
 #include "core/options.h"
-#include "index/grid.h"
 #include "index/kdtree.h"
 #include "parallel/parallel_for.h"
 
 namespace dpc {
 
 struct ExDpcOptions {
-  /// Loop scheduling override; unset inherits the ExecutionContext's
-  /// strategy (default cost-guided, §4.5).
+  /// Loop scheduling override for the leaf-order loops (see the header);
+  /// unset inherits the ExecutionContext's strategy.
   std::optional<ScheduleStrategy> scheduler;
 
   static StatusOr<ExDpcOptions> FromOptions(const OptionsMap& map) {
@@ -68,58 +69,27 @@ class ExDpc : public DpcAlgorithm {
     internal::WallTimer phase;
     KdTree tree;
     tree.Build(points, &exec);
-
-    // Cost-guided scheduling hands out whole grid cells by population
-    // (§4.5). The grid is pure scheduling metadata — only built when a
-    // parallel region will actually form (several threads, enough work),
-    // and never charged to the index-memory stat (the paper's Ex-DPC
-    // carries a kd-tree only).
-    const bool cost_guided =
-        exec.strategy() == ScheduleStrategy::kCostGuided &&
-        exec.threads() > 1 && n >= internal::kMinParallelIterations;
-    UniformGrid grid;
-    std::vector<double> cell_costs;
-    if (cost_guided) {
-      grid.Build(points,
-                 compute.d_cut / std::sqrt(static_cast<double>(points.dim())),
-                 &exec);
-      cell_costs = grid.CellCosts();
-    }
     result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = tree.MemoryBytes();
 
-    // rho: range count minus the point itself.
-    auto rho_for = [&](PointId i) {
-      result.rho[static_cast<size_t>(i)] =
-          static_cast<double>(tree.RangeCount(points[i], compute.d_cut) - 1);
-    };
-    if (cost_guided) {
-      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-        for (const PointId i : grid.members(cell)) rho_for(i);
-      });
-    } else {
-      ParallelFor(exec, n, [&](PointId begin, PointId end) {
-        for (PointId i = begin; i < end; ++i) rho_for(i);
-      });
-    }
+    // rho: range count minus the point itself, in leaf order.
+    const std::vector<PointId>& order = tree.LeafOrder();
+    ParallelFor(exec, n, [&](PointId begin, PointId end) {
+      for (PointId pos = begin; pos < end; ++pos) {
+        const PointId i = order[static_cast<size_t>(pos)];
+        result.rho[static_cast<size_t>(i)] =
+            static_cast<double>(tree.RangeCount(points[i], compute.d_cut) - 1);
+      }
+    });
     result.stats.rho_seconds = phase.Lap();
     if (internal::Interrupted(exec, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
 
-    // delta: exact nearest denser neighbor.
-    if (cost_guided) {
-      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
-        for (const PointId i : grid.members(cell)) {
-          ExactDeltaFor(points, tree, result.rho, i, &result.delta,
-                        &result.dependency);
-        }
-      });
-    } else {
-      ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
-                         &result.dependency);
-    }
+    // delta: exact nearest denser neighbor, in leaf order.
+    ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+                       &result.dependency);
     result.stats.delta_seconds = phase.Lap();
     internal::Interrupted(exec, &result);
     result.stats.total_seconds = total.Seconds();
@@ -145,22 +115,26 @@ class ExDpc : public DpcAlgorithm {
     (*dependency)[static_cast<size_t>(i)] = nn;
   }
 
-  /// Exact delta/dependency for every point (LSH-DDP reuses this for its
-  /// refinement round; pass `only` to restrict to a subset).
+  /// Exact delta/dependency for every point, visited in the tree's leaf
+  /// order, or for the ids in `only`, visited in the order given (LSH-DDP
+  /// reuses this for its refinement round, Approx-DPC for its cell peaks,
+  /// which it hands over in leaf order).
   static void ComputeExactDeltas(const PointSet& points, const KdTree& tree,
                                  const std::vector<double>& rho,
                                  const ExecutionContext& exec,
                                  std::vector<double>* delta,
                                  std::vector<PointId>* dependency,
                                  const std::vector<PointId>* only = nullptr) {
-    const PointId count =
-        only != nullptr ? static_cast<PointId>(only->size()) : points.size();
-    ParallelFor(exec, count, [&](PointId begin, PointId end) {
-      for (PointId k = begin; k < end; ++k) {
-        const PointId i = only != nullptr ? (*only)[static_cast<size_t>(k)] : k;
-        ExactDeltaFor(points, tree, rho, i, delta, dependency);
-      }
-    });
+    const std::vector<PointId>& ids =
+        only != nullptr ? *only : tree.LeafOrder();
+    ParallelFor(exec, static_cast<int64_t>(ids.size()),
+                [&](int64_t begin, int64_t end) {
+                  for (int64_t k = begin; k < end; ++k) {
+                    ExactDeltaFor(points, tree, rho,
+                                  ids[static_cast<size_t>(k)], delta,
+                                  dependency);
+                  }
+                });
   }
 
  private:

@@ -1,12 +1,13 @@
 // Batched distance kernels over SoA views — the raw-speed substrate
 // every algorithm's range/density loops run on.
 //
-// Every kernel evaluates one query point against a contiguous run of
-// SoA positions and is BIT-IDENTICAL to calling the scalar reference
-// (core/dpc.h SquaredDistance) per point: both accumulate each point's
+// Every kernel evaluates one query point (RangeCountMultiBatch: a block
+// of queries) against a contiguous run of SoA positions and is
+// BIT-IDENTICAL to calling the scalar reference (core/dpc.h
+// SquaredDistance) per (query, point) pair: both accumulate each pair's
 // per-dimension squares in ascending dimension order, so the only thing
-// the batch changes is which point's partial sum is in flight — never
-// the rounding of any individual result. That identity is what lets the
+// the batch changes is which pair's partial sum is in flight — never the
+// rounding of any individual result. That identity is what lets the
 // fast path ship without perturbing a single label (tests/kernels_test,
 // and determinism_test's cross-tier label sweep).
 //
@@ -67,6 +68,18 @@ inline void SquaredDistanceBatch(const PointSetSoA& soa, PointId begin,
 inline PointId RangeCountBatch(const PointSetSoA& soa, PointId begin,
                                PointId count, const double* q, double r_sq) {
   return Active().range_count(soa, begin, count, q, r_sq);
+}
+
+/// counts[k] += |{j in [0, count) : SquaredDistance(query k,
+/// soa[begin + j]) <= r_sq}| for k in [0, nq), where query k's coordinate
+/// d sits at qcols[d * nq + k] (dim-major). Each counts[k] gains exactly
+/// what RangeCountBatch(soa, begin, count, query k, r_sq) returns; one
+/// call serves a whole cell of queries over one kd-tree leaf (§4.2 joint
+/// search), vectorized across the queries rather than the points.
+inline void RangeCountMultiBatch(const PointSetSoA& soa, PointId begin,
+                                 PointId count, const double* qcols,
+                                 PointId nq, double r_sq, PointId* counts) {
+  Active().range_count_multi(soa, begin, count, qcols, nq, r_sq, counts);
 }
 
 /// argmin_j SquaredDistance(q, soa[begin + j]) over [0, count) — the

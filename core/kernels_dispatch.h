@@ -57,10 +57,15 @@ inline constexpr int kNumKernelTiers = 3;
 
 /// One tier's implementation of every public kernel. POD of function
 /// pointers so a tier switch is a single atomic pointer store.
+/// range_count_multi (RangeCountMultiBatch) is the multi-query entry:
+/// per (query, point) pair it is bit-identical to range_count, so its
+/// counts equal one range_count call per query on every tier.
 struct KernelTable {
   void (*sqdist)(const PointSetSoA&, PointId, PointId, const double*, double*);
   PointId (*range_count)(const PointSetSoA&, PointId, PointId, const double*,
                          double);
+  void (*range_count_multi)(const PointSetSoA&, PointId, PointId,
+                            const double*, PointId, double, PointId*);
   MinResult (*min_distance)(const PointSetSoA&, PointId, PointId,
                             const double*);
   void (*dot)(const PointSetSoA&, PointId, PointId, const double*, double*);

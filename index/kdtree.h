@@ -9,6 +9,11 @@
 //   * NearestAccepted — nearest neighbor among points satisfying a caller
 //                    predicate; used for the delta phase, where the
 //                    predicate is "denser than the query point".
+//   * JointRangeCount — the §4.2 joint search: |ball(q, r)| for a whole
+//                    cell of queries in one traversal over their
+//                    bounding box; each fringe leaf is swept once per
+//                    call (one multi-query kernel call from 8 queries
+//                    up, one call per query below that).
 //
 // The tree is immutable after Build() and safe for concurrent queries.
 //
@@ -86,6 +91,11 @@ class KdTree {
   /// Number of indexed points.
   PointId size() const { return static_cast<PointId>(perm_.size()); }
 
+  /// The leaf order: position -> id, leaves contiguous and spatially
+  /// coherent. Per-point query loops that walk ids in this order touch
+  /// the same few leaves back to back (Ex-DPC's rho and delta phases).
+  const std::vector<PointId>& LeafOrder() const { return perm_; }
+
   /// Number of points within distance r of q (q itself included when it
   /// is a member of the indexed set).
   PointId RangeCount(const double* q, double r) const {
@@ -135,6 +145,14 @@ class KdTree {
     return best;
   }
 
+  /// Calls with at least this many queries sweep each fringe leaf with
+  /// one RangeCountMultiBatch call (one AVX-512 vector of doubles across
+  /// the queries); smaller calls sweep it once per query, skipping the
+  /// gather. Most cells of the low-density stand-ins (PAMAP2, Household)
+  /// hold fewer than 8 members, where vectorizing across 1-2 queries is
+  /// pure overhead.
+  static constexpr size_t kMinMultiQueries = 8;
+
   /// The paper's §4.2 joint range search: counts, for every query id in
   /// `queries` (members of the indexed set), the points within distance
   /// r — one shared traversal per call instead of one per query. The
@@ -142,15 +160,43 @@ class KdTree {
   /// for Approx-DPC, a grid cell's member box): subtrees entirely within
   /// r of the whole box are counted wholesale for every query, subtrees
   /// farther than r from the box are skipped for every query, and only
-  /// the fringe does per-pair work. (*counts)[k] receives
+  /// the fringe does per-pair work — one multi-query kernel call per
+  /// fringe leaf once the call holds kMinMultiQueries queries (their
+  /// coordinates gathered once into per-thread dim-major scratch), one
+  /// RangeCountBatch per (leaf, query) below that. (*counts)[k] receives
   /// |ball(queries[k], r)|, the query point itself included — exactly
-  /// what per-point RangeCount would return.
+  /// what per-point RangeCount would return, on either path.
   void JointRangeCount(const double* lo, const double* hi,
                        const std::vector<PointId>& queries, double r,
                        std::vector<PointId>* counts) const {
     counts->assign(queries.size(), 0);
     if (nodes_.empty() || queries.empty()) return;
-    JointCountRec(0, lo, hi, queries, r * r, counts);
+    const double r_sq = r * r;
+    if (queries.size() < kMinMultiQueries) {
+      JointCountRec(0, lo, hi, r_sq, counts, [&](const Node& leaf) {
+        for (size_t k = 0; k < queries.size(); ++k) {
+          (*counts)[k] += kernels::RangeCountBatch(
+              soa_, leaf.begin, leaf.end - leaf.begin, (*points_)[queries[k]],
+              r_sq);
+        }
+      });
+      return;
+    }
+    // Per-thread scratch (pool workers persist), fully overwritten here.
+    static thread_local std::vector<double> qcols;
+    const size_t nq = queries.size();
+    qcols.resize(nq * static_cast<size_t>(dim_));
+    for (size_t k = 0; k < nq; ++k) {
+      const double* q = (*points_)[queries[k]];
+      for (int d = 0; d < dim_; ++d) {
+        qcols[static_cast<size_t>(d) * nq + k] = q[d];
+      }
+    }
+    JointCountRec(0, lo, hi, r_sq, counts, [&](const Node& leaf) {
+      kernels::RangeCountMultiBatch(soa_, leaf.begin, leaf.end - leaf.begin,
+                                    qcols.data(), static_cast<PointId>(nq),
+                                    r_sq, counts->data());
+    });
   }
 
   /// Appends the ids of all points within distance r of q to *out.
@@ -365,9 +411,13 @@ class KdTree {
     return s;
   }
 
+  /// The joint traversal: subtrees within r_sq of the whole query box
+  /// add their size to every count, subtrees beyond it are skipped, and
+  /// each remaining (fringe) leaf goes to sweep_leaf.
+  template <typename SweepLeaf>
   void JointCountRec(int32_t ni, const double* qlo, const double* qhi,
-                     const std::vector<PointId>& queries, double r_sq,
-                     std::vector<PointId>* counts) const {
+                     double r_sq, std::vector<PointId>* counts,
+                     const SweepLeaf& sweep_leaf) const {
     const Node& node = nodes_[static_cast<size_t>(ni)];
     if (MinSqBoxToBox(node, qlo, qhi) > r_sq) return;
     if (MaxSqBoxToBox(node, qlo, qhi) <= r_sq) {
@@ -376,17 +426,11 @@ class KdTree {
       return;
     }
     if (node.left < 0) {
-      // Fringe leaf: one kernel sweep over the leaf's contiguous SoA run
-      // per query (the ball test is symmetric).
-      for (size_t k = 0; k < queries.size(); ++k) {
-        (*counts)[k] += kernels::RangeCountBatch(
-            soa_, node.begin, node.end - node.begin, (*points_)[queries[k]],
-            r_sq);
-      }
+      sweep_leaf(node);  // the ball test is symmetric
       return;
     }
-    JointCountRec(node.left, qlo, qhi, queries, r_sq, counts);
-    JointCountRec(node.right, qlo, qhi, queries, r_sq, counts);
+    JointCountRec(node.left, qlo, qhi, r_sq, counts, sweep_leaf);
+    JointCountRec(node.right, qlo, qhi, r_sq, counts, sweep_leaf);
   }
 
   void CountRec(int32_t ni, const double* q, double r_sq, PointId* count) const {

@@ -4,6 +4,7 @@
 // order — so static chunks, dynamic claiming, and LPT bins all land on
 // the same bits), AND across kernel dispatch tiers — degenerate shapes
 // included: a single-cell grid and an empty input.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -96,6 +97,65 @@ int main() {
       }
       std::printf("%-12s Solve identical across 1/2/8 threads\n", name);
     }
+  }
+
+  // Cells with at least 65 members (d_cut 3000 on the same set): the
+  // joint rho of Approx-DPC and S-Approx-DPC takes the kd-tree's
+  // multi-query path, over several query blocks with an overlapping last
+  // one. Against the generic tier at one thread, every tier at 1, 2 and 8
+  // threads must give the same rho/delta/dependency, density order and
+  // labels; the joint rho must equal Ex-DPC's per-point counts, and the
+  // centers Ex-DPC's.
+  {
+    using dpc::kernels::KernelTier;
+    dpc::ComputeParams compute = params.compute();
+    compute.d_cut = 3000.0;
+    compute.epsilon = 0.5;
+    const dpc::UniformGrid grid(
+        points, compute.d_cut / std::sqrt(static_cast<double>(points.dim())));
+    size_t largest = 0;
+    for (dpc::CellId c = 0; c < grid.num_cells(); ++c) {
+      largest = std::max(largest, grid.members(c).size());
+    }
+    CHECK(largest >= 65);
+    const std::vector<KernelTier> tiers = dpc::kernels::SupportedTiers();
+    const KernelTier restore = dpc::kernels::ActiveTier();
+    auto pool = std::make_shared<dpc::ThreadPool>(8);
+    const auto solve = [&](const char* name, KernelTier tier, int threads) {
+      CHECK(dpc::kernels::SetActiveTier(tier));
+      auto algo = dpc::MakeAlgorithmByName(name);
+      CHECK(algo.ok());
+      return algo.value()->Solve(
+          points, compute,
+          dpc::ExecutionContext(threads, dpc::ScheduleStrategy::kCostGuided,
+                                pool));
+    };
+    const dpc::DpcSolution ex = solve("ex-dpc", KernelTier::kGeneric, 1);
+    const dpc::Labeling ex_labels = dpc::LabelSolution(ex, params.threshold());
+    CHECK(!ex_labels.centers.empty());
+    for (const char* name : {"approx-dpc", "s-approx-dpc"}) {
+      const dpc::DpcSolution base = solve(name, KernelTier::kGeneric, 1);
+      const dpc::Labeling base_labels =
+          dpc::LabelSolution(base, params.threshold());
+      CHECK(base.rho == ex.rho);
+      CHECK(base_labels.centers == ex_labels.centers);
+      for (const KernelTier tier : tiers) {
+        for (const int threads : {1, 2, 8}) {
+          const dpc::DpcSolution sol = solve(name, tier, threads);
+          CHECK(sol.rho == base.rho);
+          CHECK(sol.delta == base.delta);
+          CHECK(sol.dependency == base.dependency);
+          CHECK(sol.density_order == base.density_order);
+          const dpc::Labeling labels =
+              dpc::LabelSolution(sol, params.threshold());
+          CHECK(labels.label == base_labels.label);
+          CHECK(labels.centers == base_labels.centers);
+        }
+      }
+      std::printf("%-12s identical across tiers x 1/2/8 threads with >= 65-member cells\n",
+                  name);
+    }
+    CHECK(dpc::kernels::SetActiveTier(restore));
   }
 
   // The sampled algorithms draw their randomness from seeded hashes

@@ -1,15 +1,19 @@
 // kd-tree vs brute force: range count, range report, and
 // nearest-accepted-neighbor on random point sets across dimensions, and
 // on a duplicated lattice where exact-distance ties break to the
-// smallest id. Parallel builds at 2 and 8 threads must reproduce the
-// serial tree: every query answer and the memory footprint.
+// smallest id. The §4.2 joint range count must equal per-point range
+// counts on both of its leaf paths (per-query and multi-query). Parallel
+// builds at 2 and 8 threads must reproduce the serial tree: every query
+// answer and the memory footprint.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/dpc.h"
+#include "core/kernels.h"
 #include "core/rng.h"
 #include "index/kdtree.h"
 #include "parallel/execution_context.h"
@@ -164,6 +168,73 @@ void CheckParallelBuildMatchesSerial(const dpc::PointSet& points,
   }
 }
 
+/// The queries' bounding box: lo then hi, dim doubles each.
+std::vector<double> BoundingBox(const dpc::PointSet& points,
+                                const std::vector<dpc::PointId>& ids) {
+  const int dim = points.dim();
+  std::vector<double> box(static_cast<size_t>(2 * dim));
+  for (int d = 0; d < dim; ++d) {
+    box[static_cast<size_t>(d)] = std::numeric_limits<double>::infinity();
+    box[static_cast<size_t>(dim + d)] = -std::numeric_limits<double>::infinity();
+  }
+  for (const dpc::PointId i : ids) {
+    for (int d = 0; d < dim; ++d) {
+      box[static_cast<size_t>(d)] = std::min(box[static_cast<size_t>(d)], points[i][d]);
+      box[static_cast<size_t>(dim + d)] =
+          std::max(box[static_cast<size_t>(dim + d)], points[i][d]);
+    }
+  }
+  return box;
+}
+
+/// JointRangeCount must equal per-point RangeCount for query sets on
+/// both sides of the 8-query cutoff (7, 8, 9) and across several native
+/// query blocks (64, 65, 130). Each size runs as a compact set (the
+/// points nearest a seed point: subtrees inside and outside the ball
+/// plus a fringe) and as a spread set of seeded ids, whose box spans
+/// the whole point set so that, with r well below the spread, every
+/// leaf is fringe.
+void CheckJointRangeCount(const dpc::PointSet& points, double r,
+                          uint64_t seed) {
+  const dpc::PointId n = points.size();
+  const int dim = points.dim();
+  const dpc::KdTree tree(points);
+  const std::vector<dpc::PointId> all = [&] {
+    std::vector<dpc::PointId> ids(static_cast<size_t>(n));
+    std::iota(ids.begin(), ids.end(), dpc::PointId{0});
+    return ids;
+  }();
+  const std::vector<double> everything = BoundingBox(points, all);
+  dpc::Rng rng(seed);
+  for (const size_t size : {size_t{7}, size_t{8}, size_t{9}, size_t{64},
+                            size_t{65}, size_t{130}}) {
+    const dpc::PointId center =
+        static_cast<dpc::PointId>(rng.NextBelow(static_cast<uint64_t>(n)));
+    std::vector<dpc::PointId> compact = all;
+    std::sort(compact.begin(), compact.end(), [&](dpc::PointId a, dpc::PointId b) {
+      const double da = dpc::SquaredDistance(points[a], points[center], dim);
+      const double db = dpc::SquaredDistance(points[b], points[center], dim);
+      return da < db || (da == db && a < b);
+    });
+    compact.resize(size);
+    std::vector<dpc::PointId> spread(size);
+    for (dpc::PointId& id : spread) {
+      id = static_cast<dpc::PointId>(rng.NextBelow(static_cast<uint64_t>(n)));
+    }
+    for (const std::vector<dpc::PointId>* queries : {&compact, &spread}) {
+      const std::vector<double> box = queries == &spread
+                                          ? everything
+                                          : BoundingBox(points, *queries);
+      std::vector<dpc::PointId> counts;
+      tree.JointRangeCount(box.data(), box.data() + dim, *queries, r, &counts);
+      CHECK_EQ(counts.size(), size);
+      for (size_t k = 0; k < size; ++k) {
+        CHECK_EQ(counts[k], tree.RangeCount(points[(*queries)[k]], r));
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -179,6 +250,23 @@ int main() {
         dpc::test::LatticeWithDuplicates(dim, side, 3);
     CHECK(CheckAgainstBruteForce(lattice, 5) > 0);
   }
+
+  // The joint search against per-point counts, in the stand-ins' dims,
+  // and on the duplicate-heavy lattice, where distances tie r exactly —
+  // once per kernel tier (each tier has its own query-block width).
+  const std::vector<dpc::kernels::KernelTier> tiers =
+      dpc::kernels::SupportedTiers();
+  for (const dpc::kernels::KernelTier tier : tiers) {
+    CHECK(dpc::kernels::SetActiveTier(tier));
+    for (const int dim : {2, 3, 4, 7}) {
+      CheckJointRangeCount(
+          RandomPoints(dim, 4000, 7100 + static_cast<uint64_t>(dim)),
+          60.0 + 20.0 * dim, 31);
+    }
+    CheckJointRangeCount(dpc::test::LatticeWithDuplicates(2, 30, 3), 20.0, 32);
+    CheckJointRangeCount(dpc::test::LatticeWithDuplicates(3, 12, 2), 20.0, 33);
+  }
+  CHECK(dpc::kernels::SetActiveTier(tiers.back()));
 
   // Parallel builds above the parallel-region guard: a seeded uniform set
   // and the duplicate-heavy lattice (10800 points, every site 3 times).

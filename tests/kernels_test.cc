@@ -1,11 +1,12 @@
 // Batched kernels vs the scalar reference: every kernel in
 // core/kernels.h must be BIT-identical (==, not near) to per-point
 // SquaredDistance / dot calls, across dimensions, odd batch lengths,
-// and permuted views. The whole sweep repeats once per host-supported
-// tier (SetActiveTier), so generic/avx2/avx512 codegen all face the same
-// `==` oracle in a single process; the ChooseTier policy (env override,
-// graceful fallback from unsupported/unknown tiers) is unit-tested
-// against synthetic support masks.
+// and permuted views, and the multi-query range count must equal
+// per-query range counts exactly. The whole sweep repeats once per
+// host-supported tier (SetActiveTier), so generic/avx2/avx512 codegen
+// all face the same `==` oracle in a single process; the ChooseTier
+// policy (env override, graceful fallback from unsupported/unknown
+// tiers) is unit-tested against synthetic support masks.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
@@ -152,6 +153,82 @@ void TestDim(int dim) {
               dpc::kernels::ActiveTierName());
 }
 
+// RangeCountMultiBatch vs per-query RangeCountBatch, compared with ==.
+// Coordinates are small integers, so squared distances are exact
+// integers: many pairs sit at exactly r_sq, and the 300 points hold many
+// duplicates. Query counts straddle the 8-query cutoff of the kd-tree's
+// multi-query path and every native block width (2/4/8, with an
+// overlapping last block); run lengths straddle one 32-point kd-tree
+// leaf, from a nonzero begin; counts start nonzero, since the kernel
+// adds to them.
+void TestMultiBatch(int dim) {
+  dpc::Rng rng(900 + static_cast<uint64_t>(dim));
+  dpc::PointSet points(dim);
+  std::vector<double> p(static_cast<size_t>(dim));
+  for (int i = 0; i < 300; ++i) {
+    for (int d = 0; d < dim; ++d) {
+      p[static_cast<size_t>(d)] = static_cast<double>(rng.NextBelow(6));
+    }
+    points.Add(p.data());
+  }
+  std::vector<dpc::PointId> reversed(static_cast<size_t>(points.size()));
+  std::iota(reversed.rbegin(), reversed.rend(), dpc::PointId{0});
+  dpc::PointSetSoA soa;
+  soa.Assign(points, reversed.data(), points.size(), /*store_ids=*/false);
+  const double r_sq = 4.0 * dim;
+
+  int64_t boundary_pairs = 0;
+  for (const dpc::PointId nq : {1, 7, 8, 9, 63, 64, 65, 200}) {
+    // Half the queries are indexed points (distance-0 hits, duplicates),
+    // half fresh integer points.
+    std::vector<std::vector<double>> queries(static_cast<size_t>(nq));
+    for (dpc::PointId k = 0; k < nq; ++k) {
+      std::vector<double>& q = queries[static_cast<size_t>(k)];
+      if (k % 2 == 0) {
+        const double* src = points[static_cast<dpc::PointId>(
+            rng.NextBelow(static_cast<uint64_t>(points.size())))];
+        q.assign(src, src + dim);
+      } else {
+        q.resize(static_cast<size_t>(dim));
+        for (double& x : q) x = static_cast<double>(rng.NextBelow(6));
+      }
+    }
+    // Exactly nq * dim doubles, so an overread past the last column is
+    // an out-of-bounds read under the sanitizers.
+    std::vector<double> qcols(static_cast<size_t>(nq * dim));
+    for (dpc::PointId k = 0; k < nq; ++k) {
+      for (int d = 0; d < dim; ++d) {
+        qcols[static_cast<size_t>(d * nq + k)] =
+            queries[static_cast<size_t>(k)][static_cast<size_t>(d)];
+      }
+    }
+    for (const dpc::PointId len : {0, 1, 31, 32, 33}) {
+      for (const dpc::PointId begin : {dpc::PointId{5}, points.size() - len}) {
+        std::vector<dpc::PointId> counts(static_cast<size_t>(nq) + 1);
+        for (dpc::PointId k = 0; k < nq; ++k) {
+          counts[static_cast<size_t>(k)] = 3 * k + 1;
+        }
+        counts.back() = -42;  // overrun canary
+        dpc::kernels::RangeCountMultiBatch(soa, begin, len, qcols.data(), nq,
+                                           r_sq, counts.data());
+        CHECK_EQ(counts.back(), -42);
+        std::vector<double> sq(static_cast<size_t>(len));
+        for (dpc::PointId k = 0; k < nq; ++k) {
+          const double* q = queries[static_cast<size_t>(k)].data();
+          CHECK_EQ(counts[static_cast<size_t>(k)],
+                   3 * k + 1 +
+                       dpc::kernels::RangeCountBatch(soa, begin, len, q, r_sq));
+          dpc::kernels::SquaredDistanceBatch(soa, begin, len, q, sq.data());
+          boundary_pairs += std::count(sq.begin(), sq.end(), r_sq);
+        }
+      }
+    }
+  }
+  CHECK(boundary_pairs > 0);  // the r_sq boundary was exercised
+  std::printf("multi-query range count dim=%d OK (tier %s)\n", dim,
+              dpc::kernels::ActiveTierName());
+}
+
 }  // namespace
 
 constexpr int kDims[] = {1, 2, 3, 4, 7, 8, 16};
@@ -218,6 +295,8 @@ void TestTierSweep() {
     CHECK(dpc::kernels::ActiveTier() == tier);
     std::printf("--- tier %s ---\n", dpc::kernels::ActiveTierName());
     for (const int dim : kDims) TestDim(dim);
+    for (int dim = 1; dim <= 8; ++dim) TestMultiBatch(dim);
+    TestMultiBatch(16);  // past the compile-time dimensions
   }
   // Leave the widest tier active, as first-use detection would have.
   CHECK(dpc::kernels::SetActiveTier(tiers.back()));
