@@ -35,15 +35,12 @@ struct CfsfdpAOptions {
   /// Seed of the Bernoulli sampling coins; fixed so labels are
   /// reproducible run to run.
   int64_t sample_seed = 0xcf5fd9a5;
-  /// Loop scheduling override; unset inherits the ExecutionContext.
-  std::optional<ScheduleStrategy> scheduler;
 
   static StatusOr<CfsfdpAOptions> FromOptions(const OptionsMap& map) {
     CfsfdpAOptions options;
     OptionsReader reader(map);
     reader.Double("sample_rate", &options.sample_rate);
     reader.Int64("sample_seed", &options.sample_seed);
-    reader.Strategy("scheduler", &options.scheduler);
     if (Status s = reader.status(); !s.ok()) return s;
     if (!(options.sample_rate > 0.0) || options.sample_rate > 1.0) {
       return Status::InvalidArgument("sample_rate must be in (0, 1]");
@@ -62,9 +59,6 @@ class CfsfdpA : public DpcAlgorithm {
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
                         const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);
@@ -102,11 +96,11 @@ class CfsfdpA : public DpcAlgorithm {
     // self-hit whenever i itself was sampled (distance 0), which the
     // same Bernoulli coin that built the sample detects in O(1).
     const double r_sq = compute.d_cut * compute.d_cut;
-    ParallelFor(exec, n, [&](PointId begin, PointId end) {
+    ParallelFor(ctx, n, [&](PointId begin, PointId end) {
       for (PointId i = begin; i < end; ++i) {
         PointId count = 0;
         for (PointId k0 = 0; k0 < m; k0 += internal::kDistanceEvalsPerPoll) {
-          if (exec.ShouldStop()) return;
+          if (ctx.ShouldStop()) return;
           const PointId k_end =
               std::min(k0 + internal::kDistanceEvalsPerPoll, m);
           count += kernels::RangeCountBatch(sample_soa, k0, k_end - k0,
@@ -120,15 +114,15 @@ class CfsfdpA : public DpcAlgorithm {
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
+    if (internal::Interrupted(ctx, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
 
-    internal::QuadraticDeltas(points, soa, result.rho, exec, &result.delta,
+    internal::QuadraticDeltas(points, soa, result.rho, ctx, &result.delta,
                               &result.dependency);
     result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
+    internal::Interrupted(ctx, &result);
     result.stats.total_seconds = total.Seconds();
     return result;
   }

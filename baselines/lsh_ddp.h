@@ -37,10 +37,6 @@ struct LshDdpOptions {
   int num_bits = 4;    ///< projections per table (code width)
   /// Bucket width as a multiple of d_cut.
   double bucket_width_factor = 4.0;
-  /// Loop scheduling override; unset inherits the ExecutionContext.
-  /// Exception: the rho loop always runs static — its O(n) per-chunk
-  /// scratch would be re-paid under dynamic chunking (see Run).
-  std::optional<ScheduleStrategy> scheduler;
 
   static StatusOr<LshDdpOptions> FromOptions(const OptionsMap& map) {
     LshDdpOptions options;
@@ -48,7 +44,6 @@ struct LshDdpOptions {
     reader.Int("num_tables", &options.num_tables);
     reader.Int("num_bits", &options.num_bits);
     reader.Double("bucket_width_factor", &options.bucket_width_factor);
-    reader.Strategy("scheduler", &options.scheduler);
     if (Status s = reader.status(); !s.ok()) return s;
     if (options.num_tables < 1 || options.num_bits < 1) {
       return Status::InvalidArgument("num_tables and num_bits must be >= 1");
@@ -70,9 +65,6 @@ class LshDdp : public DpcAlgorithm {
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
                         const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);
@@ -102,14 +94,14 @@ class LshDdp : public DpcAlgorithm {
     // the row-major gather kernel: dedup the union into a scratch id
     // array, then one SquaredDistanceGather + count sweep per point.
     const double r_sq = compute.d_cut * compute.d_cut;
-    ParallelForStaticChunks(exec, n, [&](PointId begin, PointId end) {
+    ParallelForStaticChunks(ctx, n, [&](PointId begin, PointId end) {
       std::vector<PointId> last_query(static_cast<size_t>(n), PointId{-1});
       std::vector<PointId> cand;
       std::vector<double> d_sq;
       int64_t until_poll = internal::kStopCheckStride;
       for (PointId i = begin; i < end; ++i) {
         if (--until_poll <= 0) {
-          if (exec.ShouldStop()) return;
+          if (ctx.ShouldStop()) return;
           until_poll = internal::kStopCheckStride;
         }
         cand.clear();
@@ -132,14 +124,14 @@ class LshDdp : public DpcAlgorithm {
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
+    if (internal::Interrupted(ctx, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
 
     // Local delta; collect local maxima for the exact refinement round.
     std::vector<uint8_t> needs_refine(static_cast<size_t>(n), 0);
-    ParallelFor(exec, n, [&](PointId begin, PointId end) {
+    ParallelFor(ctx, n, [&](PointId begin, PointId end) {
       std::vector<PointId> cand;
       std::vector<double> d_sq;
       for (PointId i = begin; i < end; ++i) {
@@ -179,10 +171,10 @@ class LshDdp : public DpcAlgorithm {
     for (PointId i = 0; i < n; ++i) {
       if (needs_refine[static_cast<size_t>(i)] != 0) refine.push_back(i);
     }
-    ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+    ExDpc::ComputeExactDeltas(points, tree, result.rho, ctx, &result.delta,
                               &result.dependency, &refine);
     result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
+    internal::Interrupted(ctx, &result);
     result.stats.total_seconds = total.Seconds();
     return result;
   }

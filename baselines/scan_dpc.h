@@ -10,9 +10,10 @@
 //
 // Both share the quadratic dependent pass (internal::QuadraticDeltas),
 // which CFSFDP-A reuses as well. All phases parallelize over points with
-// disjoint writes, so results are thread-count and strategy independent.
-// Per-point work is uniform here (every point scans everything), so
-// there is no cost model: cost-guided scheduling falls back to dynamic.
+// disjoint writes, so results are thread-count independent. Per-point
+// work is uniform here (every point scans everything), so there is no
+// cost model: threads claim grain-sized runs of points (ParallelFor).
+// Neither algorithm takes options.
 //
 // Cancellation: with O(n) work per index, ParallelFor's 1024-index
 // sub-slice polling would overshoot a deadline by up to 1024*n distance
@@ -36,26 +37,11 @@
 
 #include "core/dpc.h"
 #include "core/kernels.h"
-#include "core/options.h"
 #include "core/soa.h"
 #include "index/rtree.h"
 #include "parallel/parallel_for.h"
 
 namespace dpc {
-
-/// Shared by ScanDpc and RtreeScanDpc (their loops are shape-identical).
-struct ScanDpcOptions {
-  /// Loop scheduling override; unset inherits the ExecutionContext.
-  std::optional<ScheduleStrategy> scheduler;
-
-  static StatusOr<ScanDpcOptions> FromOptions(const OptionsMap& map) {
-    ScanDpcOptions options;
-    OptionsReader reader(map);
-    reader.Strategy("scheduler", &options.scheduler);
-    if (Status s = reader.status(); !s.ok()) return s;
-    return options;
-  }
-};
 
 namespace internal {
 
@@ -116,17 +102,11 @@ inline void QuadraticDeltas(const PointSet& points, const PointSetSoA& soa,
 
 class ScanDpc : public DpcAlgorithm {
  public:
-  ScanDpc() = default;
-  explicit ScanDpc(ScanDpcOptions options) : options_(options) {}
-
   std::string_view name() const override { return "Scan"; }
 
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
                         const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);
@@ -142,11 +122,11 @@ class ScanDpc : public DpcAlgorithm {
     result.stats.index_memory_bytes = soa.MemoryBytes();
 
     const double r_sq = compute.d_cut * compute.d_cut;
-    ParallelFor(exec, n, [&](PointId begin, PointId end) {
+    ParallelFor(ctx, n, [&](PointId begin, PointId end) {
       for (PointId i = begin; i < end; ++i) {
         PointId count = 0;
         for (PointId j0 = 0; j0 < n; j0 += internal::kDistanceEvalsPerPoll) {
-          if (exec.ShouldStop()) return;
+          if (ctx.ShouldStop()) return;
           const PointId j_end =
               std::min(j0 + internal::kDistanceEvalsPerPoll, n);
           count += kernels::RangeCountBatch(soa, j0, j_end - j0, points[i],
@@ -157,36 +137,27 @@ class ScanDpc : public DpcAlgorithm {
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
+    if (internal::Interrupted(ctx, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
 
-    internal::QuadraticDeltas(points, soa, result.rho, exec, &result.delta,
+    internal::QuadraticDeltas(points, soa, result.rho, ctx, &result.delta,
                               &result.dependency);
     result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
+    internal::Interrupted(ctx, &result);
     result.stats.total_seconds = total.Seconds();
     return result;
   }
-
- private:
-  ScanDpcOptions options_;
 };
 
 class RtreeScanDpc : public DpcAlgorithm {
  public:
-  RtreeScanDpc() = default;
-  explicit RtreeScanDpc(ScanDpcOptions options) : options_(options) {}
-
   std::string_view name() const override { return "R-tree + Scan"; }
 
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
                         const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);
@@ -203,28 +174,25 @@ class RtreeScanDpc : public DpcAlgorithm {
     result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = tree.MemoryBytes() + soa.MemoryBytes();
 
-    ParallelFor(exec, n, [&](PointId begin, PointId end) {
+    ParallelFor(ctx, n, [&](PointId begin, PointId end) {
       for (PointId i = begin; i < end; ++i) {
         result.rho[static_cast<size_t>(i)] = static_cast<double>(
             tree.RangeCount(points[i], compute.d_cut) - 1);
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
+    if (internal::Interrupted(ctx, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
 
-    internal::QuadraticDeltas(points, soa, result.rho, exec, &result.delta,
+    internal::QuadraticDeltas(points, soa, result.rho, ctx, &result.delta,
                               &result.dependency);
     result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
+    internal::Interrupted(ctx, &result);
     result.stats.total_seconds = total.Seconds();
     return result;
   }
-
- private:
-  ScanDpcOptions options_;
 };
 
 }  // namespace dpc

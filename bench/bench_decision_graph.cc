@@ -21,11 +21,11 @@ int main() {
   bench::PrintBanner("Figure 1", "decision graph of S2", cfg);
 
   bench::Workload w = bench::SxWorkload(cfg, 2);
-  w.params.num_threads = cfg.max_threads;
+  const ExecutionContext ctx(cfg.max_threads);
   w.params.delta_min = w.params.d_cut * 1.01;  // permissive; graph first
 
   ExDpc algo;
-  DpcResult r = algo.Run(w.points, w.params);
+  DpcResult r = algo.Run(w.points, w.params, ctx);
   const auto graph = BuildDecisionGraph(r);
 
   eval::Table table({"rank", "rho", "delta"});

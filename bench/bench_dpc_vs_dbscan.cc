@@ -37,9 +37,9 @@ int main() {
     params.d_cut = 1400.0;
     params.rho_min = 4.0;
     params.delta_min = 9000.0;
-    params.num_threads = cfg.max_threads;
+    const ExecutionContext ctx(cfg.max_threads);
     ExDpc dpc_algo;
-    const DpcResult r = dpc_algo.Run(points, params);
+    const DpcResult r = dpc_algo.Run(points, params, ctx);
 
     const int min_pts = 8;
     const double max_eps = 4000.0;

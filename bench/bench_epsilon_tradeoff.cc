@@ -21,10 +21,10 @@ int main() {
       if (w.name == name) target = std::move(w);
     }
     DpcParams params = target.params;
-    params.num_threads = cfg.max_threads;
+    const ExecutionContext ctx(cfg.max_threads);
 
     ExDpc exact;
-    const DpcResult ground = exact.Run(target.points, params);
+    const DpcResult ground = exact.Run(target.points, params, ctx);
 
     std::printf("%s (n=%lld)\n", name, static_cast<long long>(target.points.size()));
     eval::Table table({"eps", "time [s]", "Rand index", "clusters"});
@@ -32,7 +32,7 @@ int main() {
       DpcParams p = params;
       p.epsilon = eps;
       SApproxDpc algo;
-      const DpcResult r = algo.Run(target.points, p);
+      const DpcResult r = algo.Run(target.points, p, ctx);
       table.AddRow({StrFormat("%.1f", eps), StrFormat("%.3f", r.stats.total_seconds),
                     StrFormat("%.3f", eval::RandIndex(r.label, ground.label)),
                     std::to_string(r.num_clusters())});

@@ -21,18 +21,18 @@ int main() {
   for (const double rate : {0.01, 0.02, 0.04, 0.08, 0.16}) {
     bench::Workload w = bench::SynWorkload(cfg, /*noise_rate=*/rate);
     DpcParams params = w.params;
-    params.num_threads = cfg.max_threads;
+    const ExecutionContext ctx(cfg.max_threads);
     params.epsilon = 1.0;
 
     ExDpc exact;
-    const DpcResult ground = exact.Run(w.points, params);
+    const DpcResult ground = exact.Run(w.points, params, ctx);
 
     LshDdp lsh;
     ApproxDpc approx;
     SApproxDpc s_approx;
-    const double ri_lsh = eval::RandIndex(lsh.Run(w.points, params).label, ground.label);
-    const double ri_approx = eval::RandIndex(approx.Run(w.points, params).label, ground.label);
-    const double ri_s = eval::RandIndex(s_approx.Run(w.points, params).label, ground.label);
+    const double ri_lsh = eval::RandIndex(lsh.Run(w.points, params, ctx).label, ground.label);
+    const double ri_approx = eval::RandIndex(approx.Run(w.points, params, ctx).label, ground.label);
+    const double ri_s = eval::RandIndex(s_approx.Run(w.points, params, ctx).label, ground.label);
     table.AddRow({StrFormat("%.2f", rate), StrFormat("%.3f", ri_lsh),
                   StrFormat("%.3f", ri_approx), StrFormat("%.3f", ri_s)});
   }

@@ -26,13 +26,13 @@ int main() {
                      "CFSFDP-DE RandIdx", "Approx-DPC RandIdx"});
   for (auto& w : bench::RealWorkloads(cfg)) {
     DpcParams params = w.params;
-    params.num_threads = cfg.max_threads;
+    const ExecutionContext ctx(cfg.max_threads);
 
     ExDpc exact;
-    const DpcResult ground = exact.Run(w.points, params);
+    const DpcResult ground = exact.Run(w.points, params, ctx);
 
     FastDpeak fast;
-    const DpcResult f = fast.Run(w.points, params);
+    const DpcResult f = fast.Run(w.points, params, ctx);
 
     // DPCG's dependent pass is quadratic: cap + extrapolate like the
     // other quadratic baselines.
@@ -44,20 +44,20 @@ int main() {
         const PointSet sub = w.points.Sample(
             static_cast<double>(cfg.QuadraticCap()) / static_cast<double>(w.points.size()),
             97);
-        const DpcResult r = dpcg.Run(sub, params);
+        const DpcResult r = dpcg.Run(sub, params, ctx);
         const double ratio =
             static_cast<double>(w.points.size()) / static_cast<double>(sub.size());
         dpcg_seconds = r.stats.total_seconds * ratio * ratio;
         dpcg_extrapolated = true;
       } else {
-        dpcg_seconds = dpcg.Run(w.points, params).stats.total_seconds;
+        dpcg_seconds = dpcg.Run(w.points, params, ctx).stats.total_seconds;
       }
     }
 
     CfsfdpDe de;
-    const DpcResult d = de.Run(w.points, params);
+    const DpcResult d = de.Run(w.points, params, ctx);
     ApproxDpc approx;
-    const DpcResult a = approx.Run(w.points, params);
+    const DpcResult a = approx.Run(w.points, params, ctx);
 
     table.AddRow({w.name, StrFormat("%.3f", ground.stats.total_seconds),
                   StrFormat("%.3f", f.stats.total_seconds),

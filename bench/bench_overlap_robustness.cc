@@ -18,20 +18,20 @@ int main() {
   for (int x = 1; x <= 4; ++x) {
     bench::Workload w = bench::SxWorkload(cfg, x);
     DpcParams params = w.params;
-    params.num_threads = cfg.max_threads;
+    const ExecutionContext ctx(cfg.max_threads);
     params.epsilon = 1.0;
 
     ExDpc exact;
-    const DpcResult ground = exact.Run(w.points, params);
+    const DpcResult ground = exact.Run(w.points, params, ctx);
     LshDdp lsh;
     ApproxDpc approx;
     SApproxDpc s_approx;
     table.AddRow({w.name,
-                  StrFormat("%.3f", eval::RandIndex(lsh.Run(w.points, params).label,
+                  StrFormat("%.3f", eval::RandIndex(lsh.Run(w.points, params, ctx).label,
                                                     ground.label)),
-                  StrFormat("%.3f", eval::RandIndex(approx.Run(w.points, params).label,
+                  StrFormat("%.3f", eval::RandIndex(approx.Run(w.points, params, ctx).label,
                                                     ground.label)),
-                  StrFormat("%.3f", eval::RandIndex(s_approx.Run(w.points, params).label,
+                  StrFormat("%.3f", eval::RandIndex(s_approx.Run(w.points, params, ctx).label,
                                                     ground.label)),
                   std::to_string(ground.num_clusters())});
   }

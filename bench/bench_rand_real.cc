@@ -18,15 +18,15 @@ int main() {
   eval::Table table({"dataset", "n", "LSH-DDP", "Approx-DPC"});
   for (auto& w : bench::RealWorkloads(cfg)) {
     DpcParams params = w.params;
-    params.num_threads = cfg.max_threads;
+    const ExecutionContext ctx(cfg.max_threads);
     ExDpc exact;
-    const DpcResult ground = exact.Run(w.points, params);
+    const DpcResult ground = exact.Run(w.points, params, ctx);
     LshDdp lsh;
     ApproxDpc approx;
     table.AddRow({w.name, std::to_string(w.points.size()),
-                  StrFormat("%.3f", eval::RandIndex(lsh.Run(w.points, params).label,
+                  StrFormat("%.3f", eval::RandIndex(lsh.Run(w.points, params, ctx).label,
                                                     ground.label)),
-                  StrFormat("%.3f", eval::RandIndex(approx.Run(w.points, params).label,
+                  StrFormat("%.3f", eval::RandIndex(approx.Run(w.points, params, ctx).label,
                                                     ground.label))});
   }
   table.Print();

@@ -28,8 +28,8 @@ int main() {
   bench::Workload w = bench::SynWorkload(cfg);
   ExDpc exact;
   DpcParams params = w.params;
-  params.num_threads = cfg.max_threads;
-  const DpcResult ground = exact.Run(w.points, params);
+  const ExecutionContext ctx(cfg.max_threads);
+  const DpcResult ground = exact.Run(w.points, params, ctx);
   std::printf("Syn: n=%lld, Ex-DPC finds %lld clusters (ground truth for this figure)\n\n",
               static_cast<long long>(w.points.size()),
               static_cast<long long>(ground.num_clusters()));
@@ -59,17 +59,17 @@ int main() {
 
   {
     LshDdp algo;
-    report("LSH-DDP", algo.Run(w.points, params), "fig6_lsh_ddp.csv");
+    report("LSH-DDP", algo.Run(w.points, params, ctx), "fig6_lsh_ddp.csv");
   }
   {
     ApproxDpc algo;
-    report("Approx-DPC", algo.Run(w.points, params), "fig6_approx_dpc.csv");
+    report("Approx-DPC", algo.Run(w.points, params, ctx), "fig6_approx_dpc.csv");
   }
   for (const double eps : {0.2, 1.0}) {
     DpcParams p = params;
     p.epsilon = eps;
     SApproxDpc algo;
-    report(StrFormat("S-Approx-DPC(eps=%.1f)", eps).c_str(), algo.Run(w.points, p),
+    report(StrFormat("S-Approx-DPC(eps=%.1f)", eps).c_str(), algo.Run(w.points, p, ctx),
            StrFormat("fig6_s_approx_%.1f.csv", eps));
   }
   table.Print();

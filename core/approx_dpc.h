@@ -27,10 +27,10 @@
 // Turning it off falls back to Ex-DPC-style per-point range counts —
 // identical values, one traversal per point (ablation A of
 // bench_ablation). The rho pass and the peak-election + snap pass both
-// iterate cells claimed in the §4.5 LPT order under the default
-// cost-guided strategy; S-Approx-DPC reuses both passes
-// (core/s_approx_dpc.h). The peaks' exact search walks them in the
-// kd-tree's leaf order, like Ex-DPC's per-point phases.
+// iterate cells claimed in the §4.5 LPT order (ParallelForWithCosts);
+// S-Approx-DPC reuses both passes (core/s_approx_dpc.h). The peaks'
+// exact search walks them in the kd-tree's leaf order, like Ex-DPC's
+// per-point phases.
 #ifndef DPC_CORE_APPROX_DPC_H_
 #define DPC_CORE_APPROX_DPC_H_
 
@@ -55,15 +55,11 @@ struct ApproxDpcOptions {
   /// computes rho for all its members. false = Ex-DPC-style per-point
   /// range counts. Labels are identical either way (both are exact).
   bool joint_range_search = true;
-  /// Loop scheduling override; unset inherits the ExecutionContext's
-  /// strategy (default cost-guided, §4.5).
-  std::optional<ScheduleStrategy> scheduler;
 
   static StatusOr<ApproxDpcOptions> FromOptions(const OptionsMap& map) {
     ApproxDpcOptions options;
     OptionsReader reader(map);
     reader.Bool("joint_range_search", &options.joint_range_search);
-    reader.Strategy("scheduler", &options.scheduler);
     if (Status s = reader.status(); !s.ok()) return s;
     return options;
   }
@@ -190,9 +186,8 @@ class ApproxDpc : public DpcAlgorithm {
   /// delta is exactly the nearest-denser distance (same candidate set as
   /// a global predicate search); on exact-distance ties the dependency
   /// is the densest candidate, where ExDpc::ExactDeltaFor takes the
-  /// smallest id. Under cost-guided scheduling, peaks are claimed in LPT
-  /// order of density rank — denser peaks visit fewer subsets, which rank
-  /// models directly.
+  /// smallest id. Peaks are claimed in LPT order of density rank —
+  /// denser peaks visit fewer subsets, which rank models directly.
   static void ComputePeakDeltasBySubsets(
       const PointSet& points, const std::vector<double>& rho,
       const std::vector<PointId>& peaks, int num_subsets,
@@ -273,9 +268,6 @@ class ApproxDpc : public DpcAlgorithm {
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
                         const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
     DpcSolution result;
     const PointId n = points.size();
     const int dim = points.dim();
@@ -287,23 +279,23 @@ class ApproxDpc : public DpcAlgorithm {
     internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
-    tree.Build(points, &exec);
+    tree.Build(points, &ctx);
 
     // Grid with cell side d_cut/sqrt(dim), bounding the cell diameter by
     // d_cut (index/grid.h — shared with S-Approx-DPC); its per-cell
     // population doubles as the §4.5 scheduling cost model.
     const UniformGrid grid(
-        points, compute.d_cut / std::sqrt(static_cast<double>(dim)), &exec);
+        points, compute.d_cut / std::sqrt(static_cast<double>(dim)), &ctx);
     const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = tree.MemoryBytes() + grid.MemoryBytes();
 
     // rho: exact range counts, cell by cell.
     if (options_.joint_range_search) {
-      JointRangeRho(points, tree, grid, cell_costs, compute.d_cut, exec,
+      JointRangeRho(points, tree, grid, cell_costs, compute.d_cut, ctx,
                     &result.rho);
     } else {
-      ParallelForWithCosts(exec, cell_costs, [&](int64_t cell) {
+      ParallelForWithCosts(ctx, cell_costs, [&](int64_t cell) {
         for (const PointId i : grid.members(cell)) {
           result.rho[static_cast<size_t>(i)] = static_cast<double>(
               tree.RangeCount(points[i], compute.d_cut) - 1);
@@ -311,7 +303,7 @@ class ApproxDpc : public DpcAlgorithm {
       });
     }
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
+    if (internal::Interrupted(ctx, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
@@ -320,9 +312,9 @@ class ApproxDpc : public DpcAlgorithm {
     // exact nearest-denser search on the tree built above (skipped if the
     // snap pass stopped early and left peaks unelected).
     const std::vector<PointId> peaks =
-        ElectPeaksAndSnap(points, grid, cell_costs, result.rho, exec,
+        ElectPeaksAndSnap(points, grid, cell_costs, result.rho, ctx,
                           &result.delta, &result.dependency);
-    if (!exec.ShouldStop()) {
+    if (!ctx.ShouldStop()) {
       // The peaks in the tree's leaf order, so consecutive searches start
       // from neighboring leaves: one pass over the order with a flag per
       // point.
@@ -333,11 +325,11 @@ class ApproxDpc : public DpcAlgorithm {
       for (const PointId i : tree.LeafOrder()) {
         if (is_peak[static_cast<size_t>(i)] != 0) leaf_peaks.push_back(i);
       }
-      ExDpc::ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+      ExDpc::ComputeExactDeltas(points, tree, result.rho, ctx, &result.delta,
                                 &result.dependency, &leaf_peaks);
     }
     result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
+    internal::Interrupted(ctx, &result);
     result.stats.total_seconds = total.Seconds();
     return result;
   }

@@ -187,11 +187,6 @@ struct DpcParams {
   double rho_min = 0.0;    ///< points below this density are noise
   double delta_min = 0.0;  ///< center threshold on the decision graph (> d_cut)
   double epsilon = 1.0;    ///< S-Approx-DPC approximation knob (ignored elsewhere)
-  /// DEPRECATED: execution policy moved to ExecutionContext (API v2).
-  /// Still honored when the context leaves its thread count unspecified —
-  /// see EffectiveThreads for the precedence rule. 0 = all hardware
-  /// threads.
-  int num_threads = 0;
 
   /// The compute-phase projection of these params.
   ComputeParams compute() const { return ComputeParams{d_cut, epsilon}; }
@@ -202,11 +197,7 @@ struct DpcParams {
 
   Status Validate() const {
     if (const Status s = compute().Validate(); !s.ok()) return s;
-    if (const Status s = threshold().Validate(d_cut); !s.ok()) return s;
-    if (num_threads < 0) {
-      return Status::InvalidArgument("num_threads must be >= 0");
-    }
-    return Status::Ok();
+    return threshold().Validate(d_cut);
   }
 };
 
@@ -472,27 +463,9 @@ inline void FinalizeClusters(const DpcParams& params, DpcResult* result) {
                            &result->label, &result->centers);
 }
 
-/// Thread-count precedence (API v2): an ExecutionContext with an explicit
-/// count wins; a context that leaves it unspecified (0) defers to the
-/// deprecated DpcParams::num_threads; 0 everywhere means all hardware
-/// threads.
-inline int EffectiveThreads(const DpcParams& params,
-                            const ExecutionContext& ctx) {
-  if (ctx.num_threads() > 0) return ctx.num_threads();
-  if (params.num_threads > 0) return params.num_threads;
-  return HardwareThreads();
-}
-
-/// The context with the precedence rule applied — what algorithms
-/// actually loop with (shares the caller's pool and cancel flag).
-inline ExecutionContext ResolveContext(const DpcParams& params,
-                                       const ExecutionContext& ctx) {
-  return ctx.WithThreads(EffectiveThreads(params, ctx));
-}
-
-/// Params-free resolution for the Solve entry point: an unspecified
-/// thread count means all hardware threads. Idempotent on contexts the
-/// DpcParams overload already resolved.
+/// The context algorithms actually loop with: an unspecified thread
+/// count means all hardware threads. Shares the caller's pool and stop
+/// state; idempotent.
 inline ExecutionContext ResolveContext(const ExecutionContext& ctx) {
   return ctx.num_threads() > 0 ? ctx : ctx.WithThreads(HardwareThreads());
 }
@@ -504,8 +477,8 @@ class DpcAlgorithm {
 
   /// The compute phase: produces this algorithm's DpcSolution (rho /
   /// delta / dependency + metadata). The ExecutionContext carries the
-  /// execution policy (thread pool, parallelism degree, schedule
-  /// strategy, deadline/cancellation). Callers that already hold the
+  /// execution policy (thread pool, parallelism degree,
+  /// deadline/cancellation). Callers that already hold the
   /// input's content fingerprint (the serving layer's dataset registry)
   /// pass it to skip the O(n·dim) re-hash; 0 means "compute it here".
   DpcSolution Solve(const PointSet& points, const ComputeParams& compute,
@@ -549,12 +522,11 @@ class DpcAlgorithm {
   DpcResult Run(const PointSet& points, const DpcParams& params,
                 const ExecutionContext& ctx) {
     const DpcSolution solution =
-        SolveImpl(points, params.compute(), ResolveContext(params, ctx));
+        SolveImpl(points, params.compute(), ResolveContext(ctx));
     return FinalizeSolution(solution, params.threshold());
   }
-  /// Deprecated two-arg form: a default-context shim. The deprecated
-  /// DpcParams::num_threads is honored through EffectiveThreads; the
-  /// shared process-wide ThreadPool is reused across calls.
+  /// Two-arg form: a default-context shim (all hardware threads on the
+  /// shared process-wide ThreadPool, reused across calls).
   DpcResult Run(const PointSet& points, const DpcParams& params) {
     return Run(points, params, ExecutionContext());
   }

@@ -11,13 +11,12 @@
 //
 // Both per-point phases are embarrassingly parallel over the immutable
 // tree, and both walk the points in the tree's leaf order
-// (KdTree::LeafOrder), under every strategy and thread count: consecutive
-// queries start from neighboring leaves, so the nodes and leaf runs they
-// touch are still in cache. Ex-DPC builds no grid. `scheduler=` picks how
-// threads split that order (ParallelFor): static = one contiguous run per
-// thread; dynamic and cost-guided = threads claim grain-sized runs from a
-// shared counter. Each point's slot is written exactly once, so results
-// are strategy- and thread-count independent.
+// (KdTree::LeafOrder) at every thread count: consecutive queries start
+// from neighboring leaves, so the nodes and leaf runs they touch are
+// still in cache. Ex-DPC builds no grid and takes no options. Threads
+// split that order by claiming grain-sized runs from a shared counter
+// (ParallelFor). Each point's slot is written exactly once, so results
+// are thread-count independent.
 #ifndef DPC_CORE_EX_DPC_H_
 #define DPC_CORE_EX_DPC_H_
 
@@ -25,39 +24,18 @@
 #include <vector>
 
 #include "core/dpc.h"
-#include "core/options.h"
 #include "index/kdtree.h"
 #include "parallel/parallel_for.h"
 
 namespace dpc {
 
-struct ExDpcOptions {
-  /// Loop scheduling override for the leaf-order loops (see the header);
-  /// unset inherits the ExecutionContext's strategy.
-  std::optional<ScheduleStrategy> scheduler;
-
-  static StatusOr<ExDpcOptions> FromOptions(const OptionsMap& map) {
-    ExDpcOptions options;
-    OptionsReader reader(map);
-    reader.Strategy("scheduler", &options.scheduler);
-    if (Status s = reader.status(); !s.ok()) return s;
-    return options;
-  }
-};
-
 class ExDpc : public DpcAlgorithm {
  public:
-  ExDpc() = default;
-  explicit ExDpc(ExDpcOptions options) : options_(options) {}
-
   std::string_view name() const override { return "Ex-DPC"; }
 
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
                         const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
     DpcSolution result;
     const PointId n = points.size();
     result.rho.assign(static_cast<size_t>(n), 0.0);
@@ -68,13 +46,13 @@ class ExDpc : public DpcAlgorithm {
     internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
-    tree.Build(points, &exec);
+    tree.Build(points, &ctx);
     result.stats.build_seconds = phase.Lap();
     result.stats.index_memory_bytes = tree.MemoryBytes();
 
     // rho: range count minus the point itself, in leaf order.
     const std::vector<PointId>& order = tree.LeafOrder();
-    ParallelFor(exec, n, [&](PointId begin, PointId end) {
+    ParallelFor(ctx, n, [&](PointId begin, PointId end) {
       for (PointId pos = begin; pos < end; ++pos) {
         const PointId i = order[static_cast<size_t>(pos)];
         result.rho[static_cast<size_t>(i)] =
@@ -82,16 +60,16 @@ class ExDpc : public DpcAlgorithm {
       }
     });
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
+    if (internal::Interrupted(ctx, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
 
     // delta: exact nearest denser neighbor, in leaf order.
-    ComputeExactDeltas(points, tree, result.rho, exec, &result.delta,
+    ComputeExactDeltas(points, tree, result.rho, ctx, &result.delta,
                        &result.dependency);
     result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
+    internal::Interrupted(ctx, &result);
     result.stats.total_seconds = total.Seconds();
     return result;
   }
@@ -136,9 +114,6 @@ class ExDpc : public DpcAlgorithm {
                   }
                 });
   }
-
- private:
-  ExDpcOptions options_;
 };
 
 }  // namespace dpc

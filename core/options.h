@@ -15,13 +15,11 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
-#include "parallel/execution_context.h"
 
 namespace dpc {
 
@@ -151,26 +149,6 @@ class OptionsReader {
         Fail(key, *v, "a finite number");
       } else {
         *out = parsed;
-      }
-    }
-    return *this;
-  }
-
-  /// static | dynamic | lpt (aliases: cost, cost-guided) | inherit.
-  /// "inherit" clears the override so the ExecutionContext decides.
-  OptionsReader& Strategy(const std::string& key,
-                          std::optional<ScheduleStrategy>* out) {
-    if (const std::string* v = Consume(key)) {
-      if (*v == "inherit") {
-        out->reset();
-      } else if (*v == "static") {
-        *out = ScheduleStrategy::kStatic;
-      } else if (*v == "dynamic") {
-        *out = ScheduleStrategy::kDynamic;
-      } else if (*v == "lpt" || *v == "cost" || *v == "cost-guided") {
-        *out = ScheduleStrategy::kCostGuided;
-      } else {
-        Fail(key, *v, "one of static|dynamic|lpt|inherit");
       }
     }
     return *this;

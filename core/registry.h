@@ -5,9 +5,9 @@
 //
 // API v2: every factory takes an OptionsMap (core/options.h) so callers
 // like `dpc_cli --opt k=v` can drive per-algorithm knobs — LSH table
-// counts, Approx-DPC's joint-range-search toggle, scheduler overrides —
+// counts, Approx-DPC's joint-range-search toggle, sampling seeds —
 // without recompiling. Unknown keys and malformed values fail with
-// InvalidArgument.
+// InvalidArgument; algorithms without options reject every key.
 #ifndef DPC_CORE_REGISTRY_H_
 #define DPC_CORE_REGISTRY_H_
 
@@ -45,15 +45,23 @@ StatusOr<std::unique_ptr<DpcAlgorithm>> MakeWithOptions(const OptionsMap& map) {
       std::make_unique<Algo>(std::move(options).value()));
 }
 
+/// Wraps an algorithm that takes no options: any key is unknown.
+template <typename Algo>
+StatusOr<std::unique_ptr<DpcAlgorithm>> MakeWithoutOptions(
+    const OptionsMap& map) {
+  if (Status s = OptionsReader(map).status(); !s.ok()) return s;
+  return std::unique_ptr<DpcAlgorithm>(std::make_unique<Algo>());
+}
+
 /// Single source of truth: landing an algorithm means adding one slot
 /// here.
 inline const std::vector<AlgorithmEntry>& AlgorithmTable() {
   static const std::vector<AlgorithmEntry> kTable = {
-      {"ex-dpc", &MakeWithOptions<ExDpc, ExDpcOptions>},
+      {"ex-dpc", &MakeWithoutOptions<ExDpc>},
       {"approx-dpc", &MakeWithOptions<ApproxDpc, ApproxDpcOptions>},
       {"s-approx-dpc", &MakeWithOptions<SApproxDpc, SApproxDpcOptions>},
-      {"scan", &MakeWithOptions<ScanDpc, ScanDpcOptions>},
-      {"rtree-scan", &MakeWithOptions<RtreeScanDpc, ScanDpcOptions>},
+      {"scan", &MakeWithoutOptions<ScanDpc>},
+      {"rtree-scan", &MakeWithoutOptions<RtreeScanDpc>},
       {"lsh-ddp", &MakeWithOptions<LshDdp, LshDdpOptions>},
       {"cfsfdp-a", &MakeWithOptions<CfsfdpA, CfsfdpAOptions>},
   };

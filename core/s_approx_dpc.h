@@ -44,9 +44,6 @@
 namespace dpc {
 
 struct SApproxDpcOptions {
-  /// Loop scheduling override; unset inherits the ExecutionContext's
-  /// strategy (default cost-guided, §4.5).
-  std::optional<ScheduleStrategy> scheduler;
   /// Seed of the nested per-point sampling coins; fixed by default so
   /// labels are reproducible run to run.
   int64_t sample_seed = 0x5a94d9c;
@@ -54,7 +51,6 @@ struct SApproxDpcOptions {
   static StatusOr<SApproxDpcOptions> FromOptions(const OptionsMap& map) {
     SApproxDpcOptions options;
     OptionsReader reader(map);
-    reader.Strategy("scheduler", &options.scheduler);
     reader.Int64("sample_seed", &options.sample_seed);
     if (Status s = reader.status(); !s.ok()) return s;
     return options;
@@ -71,9 +67,6 @@ class SApproxDpc : public DpcAlgorithm {
  protected:
   DpcSolution SolveImpl(const PointSet& points, const ComputeParams& compute,
                         const ExecutionContext& ctx) override {
-    ExecutionContext exec =
-        options_.scheduler ? ctx.WithStrategy(*options_.scheduler) : ctx;
-
     DpcSolution result;
     const PointId n = points.size();
     const int dim = points.dim();
@@ -85,26 +78,26 @@ class SApproxDpc : public DpcAlgorithm {
     internal::WallTimer total;
     internal::WallTimer phase;
     KdTree tree;
-    tree.Build(points, &exec);
+    tree.Build(points, &ctx);
     const UniformGrid grid(
-        points, compute.d_cut / std::sqrt(static_cast<double>(dim)), &exec);
+        points, compute.d_cut / std::sqrt(static_cast<double>(dim)), &ctx);
     const std::vector<double> cell_costs = grid.CellCosts();
     result.stats.build_seconds = phase.Lap();
 
     // rho and the peak-election + snap pass are Approx-DPC's own
     // (core/approx_dpc.h): the §4.2 joint range count, then one parallel
-    // pass over cells, both claimed in LPT order by default.
+    // pass over cells, both claimed in LPT order.
     ApproxDpc::JointRangeRho(points, tree, grid, cell_costs, compute.d_cut,
-                             exec, &result.rho);
+                             ctx, &result.rho);
     result.stats.rho_seconds = phase.Lap();
-    if (internal::Interrupted(exec, &result)) {
+    if (internal::Interrupted(ctx, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
     const std::vector<PointId> peaks =
         ApproxDpc::ElectPeaksAndSnap(points, grid, cell_costs, result.rho,
-                                     exec, &result.delta, &result.dependency);
-    if (internal::Interrupted(exec, &result)) {
+                                     ctx, &result.delta, &result.dependency);
+    if (internal::Interrupted(ctx, &result)) {
       result.stats.total_seconds = total.Seconds();
       return result;
     }
@@ -127,22 +120,21 @@ class SApproxDpc : public DpcAlgorithm {
       }
     }
     KdTree candidate_tree;
-    candidate_tree.Build(candidates, &exec);
+    candidate_tree.Build(candidates, &ctx);
     result.stats.index_memory_bytes =
         tree.MemoryBytes() + grid.MemoryBytes() + candidate_tree.MemoryBytes() +
         candidates.raw().capacity() * sizeof(double) +
         candidate_ids.capacity() * sizeof(PointId);
 
     // Peaks: nearest denser neighbor among the sampled candidates.
-    // ParallelForWithCosts dispatches on the strategy itself; under
-    // cost-guided, peaks are claimed in LPT order of cost ~ rho (denser
-    // peaks accept fewer candidates, so their searches tighten the
-    // distance bound later and do more work).
+    // Peaks are claimed in LPT order of cost ~ rho (denser peaks accept
+    // fewer candidates, so their searches tighten the distance bound
+    // later and do more work).
     std::vector<double> peak_costs(peaks.size());
     for (size_t k = 0; k < peaks.size(); ++k) {
       peak_costs[k] = result.rho[static_cast<size_t>(peaks[k])] + 1.0;
     }
-    ParallelForWithCosts(exec, peak_costs, [&](int64_t k) {
+    ParallelForWithCosts(ctx, peak_costs, [&](int64_t k) {
       const PointId p = peaks[static_cast<size_t>(k)];
       const double rho_p = result.rho[static_cast<size_t>(p)];
       double dist = std::numeric_limits<double>::infinity();
@@ -158,7 +150,7 @@ class SApproxDpc : public DpcAlgorithm {
           nn >= 0 ? candidate_ids[static_cast<size_t>(nn)] : PointId{-1};
     });
     result.stats.delta_seconds = phase.Lap();
-    internal::Interrupted(exec, &result);
+    internal::Interrupted(ctx, &result);
     result.stats.total_seconds = total.Seconds();
     return result;
   }

@@ -80,15 +80,30 @@ inline StatusOr<PointSet> LoadBinary(const std::string& path) {
     std::fclose(f);
     return Status::IoError(path + " is not a DPCB point file");
   }
+  // The header's n is untrusted: check that the rest of the file can hold
+  // n rows before reserving for them (a forged n must not abort the
+  // process in the allocator). Dividing instead of multiplying cannot
+  // overflow: dim * sizeof(double) < 2^34.
+  const long header_end = std::ftell(f);
+  const bool sized = header_end >= 0 && std::fseek(f, 0, SEEK_END) == 0;
+  const long file_end = sized ? std::ftell(f) : -1;
+  const int64_t row_bytes = int64_t{dim} * int64_t{sizeof(double)};
+  if (file_end < header_end || std::fseek(f, header_end, SEEK_SET) != 0 ||
+      n > (file_end - header_end) / row_bytes) {
+    std::fclose(f);
+    return Status::IoError(path + " is truncated: header claims " +
+                           std::to_string(n) + " points of dim " +
+                           std::to_string(dim));
+  }
   PointSet points(dim);
   points.Reserve(n);
-  std::vector<double> row(static_cast<size_t>(dim));
   for (int64_t i = 0; i < n; ++i) {
-    if (std::fread(row.data(), sizeof(double), row.size(), f) != row.size()) {
+    double* row = points.AddUninitialized();
+    if (std::fread(row, sizeof(double), static_cast<size_t>(dim), f) !=
+        static_cast<size_t>(dim)) {
       std::fclose(f);
       return Status::IoError(path + " is truncated");
     }
-    points.Add(row.data());
   }
   std::fclose(f);
   return points;

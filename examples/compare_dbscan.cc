@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   params.d_cut = 1400.0;
   params.rho_min = 4.0;
   params.delta_min = 9000.0;
-  params.num_threads = 0;
   dpc::ExDpc dpc_algo;
   const dpc::DpcResult dpc_result = dpc_algo.Run(points, params);
 

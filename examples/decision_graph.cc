@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
   params.d_cut = 1200.0;
   params.rho_min = 4.0;
   params.delta_min = params.d_cut * 1.01;  // permissive: graph first, centers later
-  params.num_threads = 0;
 
   dpc::ExDpc algo;
   dpc::DpcResult result = algo.Run(points, params);

@@ -15,11 +15,10 @@
 //   --threads N         worker threads (default 0 = all hardware threads;
 //                       runs execute on one persistent shared pool)
 //   --opt KEY=VALUE     per-algorithm option, repeatable. Examples:
-//                         approx-dpc: joint_range_search=false,
-//                                     scheduler=static
+//                         approx-dpc: joint_range_search=false
 //                         lsh-ddp:    num_tables=6, num_bits=5
 //                         cfsfdp-a:   sample_rate=0.5
-//                       scheduler takes static|dynamic|lpt|inherit.
+//                       ex-dpc, scan and rtree-scan take no options.
 //                       Unknown keys fail with the recognized-key menu.
 //   --k N               instead of --delta-min: pick exactly N centers
 //   --sweep KEY=a,b,c   threshold sweep mode: KEY is delta_min or rho_min.
@@ -78,8 +77,8 @@ int Usage(const char* argv0) {
                "[--decision-graph dg.csv] [--halo] [--demo]\n"
                "  --threads N   parallelism degree (0 = all hardware threads)\n"
                "  --opt k=v     per-algorithm option, repeatable — e.g.\n"
-               "                joint_range_search=false, scheduler=static|dynamic|lpt,\n"
-               "                num_tables=6, num_bits=5, sample_rate=0.5\n"
+               "                joint_range_search=false, num_tables=6, num_bits=5,\n"
+               "                sample_rate=0.5\n"
                "  --sweep KEY=a,b,c  compute once, finalize per threshold\n",
                argv0);
   return 2;

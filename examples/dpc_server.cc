@@ -62,6 +62,8 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,6 +88,23 @@ struct Pending {
   std::string algorithm;
   std::future<dpc::serve::ClusterResponse> future;
 };
+
+// Runs a dataset constructor whose sizes come from the command line or
+// a file header. A size the process cannot hold becomes an error status
+// instead of an uncaught exception that would end the server for every
+// other client.
+template <typename Build>
+dpc::StatusOr<dpc::PointSet> BuildDataset(const Build& build) {
+  try {
+    return build();
+  } catch (const std::length_error& e) {
+    return dpc::Status::InvalidArgument(
+        std::string("dataset too large to allocate (") + e.what() + ")");
+  } catch (const std::bad_alloc&) {
+    return dpc::Status::InvalidArgument(
+        "dataset too large: out of memory building it");
+  }
+}
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -321,9 +340,11 @@ int main(int argc, char** argv) {
     if (cmd == "load" && tokens.size() == 3) {
       const std::string& name = tokens[1];
       const std::string& path = tokens[2];
-      auto loaded = path.ends_with(".bin") || path.ends_with(".dpcb")
-                        ? dpc::data::LoadBinary(path)
-                        : dpc::data::LoadCsv(path);
+      auto loaded = BuildDataset([&] {
+        return path.ends_with(".bin") || path.ends_with(".dpcb")
+                   ? dpc::data::LoadBinary(path)
+                   : dpc::data::LoadCsv(path);
+      });
       if (!loaded.ok()) {
         if (fail(loaded.status().ToString())) break;
         continue;
@@ -345,8 +366,15 @@ int main(int argc, char** argv) {
         if (fail("gen needs positive N and CLUSTERS")) break;
         continue;
       }
+      auto generated = BuildDataset([&]() -> dpc::StatusOr<dpc::PointSet> {
+        return dpc::data::GaussianBenchmark(gen);
+      });
+      if (!generated.ok()) {
+        if (fail(generated.status().ToString())) break;
+        continue;
+      }
       const uint64_t fp = server.datasets().Register(
-          tokens[1], dpc::data::GaussianBenchmark(gen));
+          tokens[1], std::move(generated).value());
       std::printf("generated %s: n=%lld clusters=%d fingerprint=%016llx\n",
                   tokens[1].c_str(), static_cast<long long>(gen.num_points),
                   gen.num_clusters, static_cast<unsigned long long>(fp));

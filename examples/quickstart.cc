@@ -35,8 +35,8 @@ int main() {
 
   // 3. Run. The ExecutionContext carries the execution policy: which
   // thread pool to run on (default: one persistent process-wide pool,
-  // reused across runs), how many threads (0 = all), and the loop
-  // scheduling strategy (default: the paper's §4.5 cost-guided LPT).
+  // reused across runs) and how many threads (0 = all). Grid cells are
+  // always handed out in the paper's §4.5 cost-guided LPT order.
   dpc::ExecutionContext ctx;
   dpc::ApproxDpc algo;
   const dpc::DpcResult result = algo.Run(points, params, ctx);

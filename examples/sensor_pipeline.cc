@@ -30,7 +30,6 @@ int main() {
   params.d_cut = spec.default_d_cut;  // 5000, the paper's Sensor default
   params.rho_min = 8.0;
   params.delta_min = 3.0 * params.d_cut;
-  params.num_threads = 0;
 
   // Exact reference for quality scoring.
   dpc::ExDpc exact;

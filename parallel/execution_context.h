@@ -1,7 +1,8 @@
 // ExecutionContext — the execution policy of DpcAlgorithm::Run (API v2):
-// which ThreadPool to run on, how many threads to use, how loops map
-// iterations to threads (ScheduleStrategy, paper §4.5), and a per-run
-// deadline / cancellation flag checked at phase boundaries.
+// which ThreadPool to run on, how many threads to use, and a per-run
+// deadline / cancellation flag checked at phase boundaries. How a loop
+// maps iterations to threads is fixed by its shape (parallel/
+// parallel_for.h), not chosen per context.
 //
 // Contexts are cheap value types: copies share the pool and the cancel
 // flag, so a caller can keep one context, hand copies to runs, and
@@ -24,43 +25,16 @@
 
 namespace dpc {
 
-/// How a parallel loop maps iterations to threads (parallel/parallel_for.h).
-enum class ScheduleStrategy {
-  kStatic,      ///< contiguous equal-count chunks, one per thread
-  kDynamic,     ///< threads claim fixed-grain chunks from a shared counter
-  kCostGuided,  ///< items claimed online in LPT order (cost desc) of a
-                ///< per-item cost model (paper §4.5); loops without a
-                ///< cost model fall back to dynamic
-};
-
-inline const char* ToString(ScheduleStrategy strategy) {
-  switch (strategy) {
-    case ScheduleStrategy::kStatic:
-      return "static";
-    case ScheduleStrategy::kDynamic:
-      return "dynamic";
-    case ScheduleStrategy::kCostGuided:
-      return "lpt";
-  }
-  return "?";
-}
-
 class ExecutionContext {
  public:
-  /// All hardware threads on the shared process-wide pool, cost-guided
-  /// scheduling (the paper's default), no deadline.
+  /// All hardware threads on the shared process-wide pool, no deadline.
   ExecutionContext() : ExecutionContext(0) {}
 
-  /// num_threads 0 leaves the degree unspecified (all hardware threads,
-  /// unless the deprecated DpcParams::num_threads overrides — see
-  /// EffectiveThreads in core/dpc.h). A null pool selects the shared
-  /// process-wide pool.
-  explicit ExecutionContext(
-      int num_threads,
-      ScheduleStrategy strategy = ScheduleStrategy::kCostGuided,
-      std::shared_ptr<ThreadPool> pool = nullptr)
+  /// num_threads 0 leaves the degree unspecified (all hardware threads).
+  /// A null pool selects the shared process-wide pool.
+  explicit ExecutionContext(int num_threads,
+                            std::shared_ptr<ThreadPool> pool = nullptr)
       : num_threads_(num_threads > 0 ? num_threads : 0),
-        strategy_(strategy),
         pool_(pool != nullptr ? std::move(pool) : SharedDefaultPool()),
         stop_(std::make_shared<StopState>()) {}
 
@@ -68,7 +42,6 @@ class ExecutionContext {
   int num_threads() const { return num_threads_; }
   /// Resolved parallelism degree (>= 1).
   int threads() const { return ResolveThreads(num_threads_); }
-  ScheduleStrategy strategy() const { return strategy_; }
   ThreadPool& pool() const { return *pool_; }
   const std::shared_ptr<ThreadPool>& shared_pool() const { return pool_; }
 
@@ -78,20 +51,7 @@ class ExecutionContext {
     copy.num_threads_ = num_threads > 0 ? num_threads : 0;
     return copy;
   }
-  ExecutionContext WithStrategy(ScheduleStrategy strategy) const {
-    ExecutionContext copy = *this;
-    copy.strategy_ = strategy;
-    return copy;
-  }
-  /// A copy running on a different ThreadPool (null selects the shared
-  /// process-wide pool), same policy and stop state. This is how a shard
-  /// executor points one request at its leased slice of the machine.
-  ExecutionContext WithPool(std::shared_ptr<ThreadPool> pool) const {
-    ExecutionContext copy = *this;
-    copy.pool_ = pool != nullptr ? std::move(pool) : SharedDefaultPool();
-    return copy;
-  }
-  /// A copy sharing the pool and policy but with FRESH stop state: a
+  /// A copy sharing the pool and thread count but with FRESH stop state: a
   /// deadline or cancel set on the derived context does not reach this
   /// one (and vice versa). This is how a serving layer derives one
   /// per-request context after another over a single shared pool.
@@ -99,8 +59,8 @@ class ExecutionContext {
   /// Budgets re-arm: when this context's deadline came from
   /// set_deadline_after(budget), the copy gets the FULL budget measured
   /// from ITS creation — not the parent's partially-burned clock — so a
-  /// shard sub-context spawned late in a run still has its whole budget
-  /// ahead of it. Absolute deadlines (set_deadline) are not inherited.
+  /// context derived late still has its whole budget ahead of it.
+  /// Absolute deadlines (set_deadline) are not inherited.
   ExecutionContext WithFreshStopState() const {
     ExecutionContext copy = *this;
     const int64_t budget =
@@ -116,8 +76,8 @@ class ExecutionContext {
 
   // --- tracing ---------------------------------------------------------
   // A context optionally carries a trace and the span id instrumentation
-  // should parent under. Both travel with copies (WithThreads / WithPool
-  // / WithFreshStopState preserve them), so a span opened on a worker
+  // should parent under. Both travel with copies (WithThreads and
+  // WithFreshStopState preserve them), so a span opened on a worker
   // thread lands under the request's root span with no thread-local
   // state. The default is NO trace: ctx.Span(...) then constructs a
   // disabled ScopedSpan — no clock read, no allocation (the
@@ -197,7 +157,6 @@ class ExecutionContext {
   };
 
   int num_threads_ = 0;
-  ScheduleStrategy strategy_ = ScheduleStrategy::kCostGuided;
   std::shared_ptr<ThreadPool> pool_;
   std::shared_ptr<StopState> stop_;
   std::shared_ptr<obs::Trace> trace_;  ///< null = tracing off

@@ -2,14 +2,15 @@
 // algorithms know, before a phase starts, roughly how much work each cell
 // holds (index/grid.h's CellCosts hook); handing out whole cells
 // longest-processing-time-first (LPT) keeps every thread's total cost
-// near the mean, where naive strategies leave one thread holding the
+// near the mean, where a cost-blind split leaves one thread holding the
 // densest cells. LPT is the classic 4/3-approximation of the optimal
 // makespan. HashSchedule is the strawman the paper compares against
 // (LSH-DDP's id-modulo-thread partitioning).
 //
-// The parallel loops (parallel/parallel_for.h) use only LptOrder: threads
-// claim items online in that order, so an item that runs longer than its
-// cost says delays only the thread running it. LptSchedule fixes the bins
+// The library's one cost-model loop, ParallelForWithCosts
+// (parallel/parallel_for.h), uses only LptOrder: threads claim items
+// online in that order, so an item that runs longer than its cost says
+// delays only the thread running it. LptSchedule fixes the bins
 // up front from the costs alone; it remains the offline model that
 // ShardPool's width search, the lpt_imbalance probe and bench_ablation's
 // LPT-vs-hash comparison read.

@@ -1,19 +1,23 @@
-// Strategy-dispatched parallel loops over the persistent ThreadPool —
-// the replacement for core/parallel_for.h's per-call std::thread
-// spawn/join. The ExecutionContext picks the strategy; the loop shape
-// picks the entry point:
+// Parallel loops over the persistent ThreadPool, one schedule per loop
+// shape — the paper's §4.5 cost-based partitioning. The ExecutionContext
+// supplies the pool, the thread count and the stop state; the loop shape
+// picks the entry point and with it the schedule:
 //
-//   ParallelFor          index ranges without a cost model (per-point
-//                        phases): static chunks or dynamic claiming.
-//   ParallelForWithCosts per-item loops with a cost model (grid cells,
-//                        §4.5): cost-guided sorts the items into LPT
-//                        order and threads claim them one at a time.
-//   ParallelTasks        a fixed set of build tasks (index construction,
-//                        sort chunks) that always runs to completion.
+//   ParallelFor             index ranges without a cost model (per-point
+//                           phases): threads claim grain-sized runs from
+//                           a shared counter.
+//   ParallelForWithCosts    per-item loops with a cost model (grid cells,
+//                           §4.5): items are sorted into LPT order and
+//                           threads claim them one at a time.
+//   ParallelForStaticChunks one contiguous chunk per thread, for loops
+//                           that amortize per-chunk scratch.
+//   ParallelTasks           a fixed set of build tasks (index
+//                           construction, sort chunks) that always runs
+//                           to completion.
 //
 // Every variant calls fn on each index/item exactly once with disjoint
 // slices, so loops whose writes are per-slot disjoint stay deterministic
-// across strategies and thread counts — the library-wide contract that
+// across thread counts — the library-wide contract that
 // tests/determinism_test.cc enforces.
 //
 // Cancellation: ParallelFor and ParallelForWithCosts poll ctx.ShouldStop()
@@ -59,10 +63,8 @@ bool RunSlices(const ExecutionContext& ctx, int64_t begin, int64_t end,
 }
 }  // namespace internal
 
-/// Calls fn(begin, end) over disjoint chunks of [0, n). kStatic: one
-/// contiguous chunk per thread. kDynamic and kCostGuided (which has no
-/// per-index cost model here): threads claim grain-sized chunks from a
-/// shared counter.
+/// Calls fn(begin, end) over disjoint chunks of [0, n): threads claim
+/// grain-sized chunks from a shared counter.
 template <typename Fn>
 void ParallelFor(const ExecutionContext& ctx, int64_t n, const Fn& fn) {
   if (n <= 0) return;
@@ -72,28 +74,19 @@ void ParallelFor(const ExecutionContext& ctx, int64_t n, const Fn& fn) {
     internal::RunSlices(ctx, 0, n, fn);
     return;
   }
-  if (ctx.strategy() == ScheduleStrategy::kStatic) {
-    const int64_t chunk = (n + threads - 1) / threads;
-    ctx.pool().Run(threads, [&](int64_t t) {
-      const int64_t begin = t * chunk;
-      const int64_t end = std::min(begin + chunk, n);
-      if (begin < end) internal::RunSlices(ctx, begin, end, fn);
-    });
-  } else {
-    // ~8 grains per thread balances claim overhead against load balance.
-    const int64_t grain =
-        std::max<int64_t>(1, n / (static_cast<int64_t>(threads) * 8));
-    std::atomic<int64_t> next{0};
-    ctx.pool().Run(threads, [&](int64_t) {
-      for (;;) {
-        const int64_t begin = next.fetch_add(grain, std::memory_order_relaxed);
-        if (begin >= n) break;
-        if (!internal::RunSlices(ctx, begin, std::min(begin + grain, n), fn)) {
-          break;
-        }
+  // ~8 grains per thread balances claim overhead against load balance.
+  const int64_t grain =
+      std::max<int64_t>(1, n / (static_cast<int64_t>(threads) * 8));
+  std::atomic<int64_t> next{0};
+  ctx.pool().Run(threads, [&](int64_t) {
+    for (;;) {
+      const int64_t begin = next.fetch_add(grain, std::memory_order_relaxed);
+      if (begin >= n) break;
+      if (!internal::RunSlices(ctx, begin, std::min(begin + grain, n), fn)) {
+        break;
       }
-    });
-  }
+    }
+  });
 }
 
 /// One fn(begin, end) callback per contiguous static chunk (one chunk
@@ -122,8 +115,8 @@ void ParallelForStaticChunks(const ExecutionContext& ctx, int64_t n,
 
 /// Calls fn(task) for every task in [0, num_tasks) on up to ctx.threads()
 /// threads, each claiming the next task from a shared counter. Ignores
-/// the strategy and the stop state: callers are index builds and sorts
-/// whose partial output would be wrong, not merely late.
+/// the stop state: callers are index builds and sorts whose partial
+/// output would be wrong, not merely late.
 template <typename Fn>
 void ParallelTasks(const ExecutionContext& ctx, int64_t num_tasks,
                    const Fn& fn) {
@@ -145,12 +138,10 @@ void ParallelTasks(const ExecutionContext& ctx, int64_t num_tasks,
 
 /// Calls fn(item) for every item in [0, costs.size()), where costs[item]
 /// models the item's work (index/grid.h::CellCosts for grid cells).
-/// kCostGuided hands items out in LPT order (cost desc, id asc; §4.5),
-/// each thread claiming the next one when it finishes its last, so a
-/// mis-costed item delays only its own thread; kStatic splits into
-/// contiguous equal-count runs; kDynamic claims single items in id
-/// order. Items are heavy by definition (a cell's whole point
-/// population), so the stop poll runs per item.
+/// Items go out in LPT order (cost desc, id asc; §4.5), each thread
+/// claiming the next one when it finishes its last, so a mis-costed item
+/// delays only its own thread. Items are heavy by definition (a cell's
+/// whole point population), so the stop poll runs per item.
 template <typename Fn>
 void ParallelForWithCosts(const ExecutionContext& ctx,
                           const std::vector<double>& costs, const Fn& fn) {
@@ -170,37 +161,15 @@ void ParallelForWithCosts(const ExecutionContext& ctx,
     }
     return;
   }
-  switch (ctx.strategy()) {
-    case ScheduleStrategy::kStatic: {
-      const int64_t chunk = (n + threads - 1) / threads;
-      ctx.pool().Run(threads, [&](int64_t t) {
-        const int64_t begin = t * chunk;
-        const int64_t end = std::min(begin + chunk, n);
-        for (int64_t item = begin; item < end; ++item) {
-          if (ctx.ShouldStop()) return;
-          fn(item);
-        }
-      });
-      break;
+  const std::vector<int64_t> order = LptOrder(costs);
+  std::atomic<int64_t> next{0};
+  ctx.pool().Run(threads, [&](int64_t) {
+    for (;;) {
+      const int64_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= n || ctx.ShouldStop()) break;
+      fn(order[static_cast<size_t>(k)]);
     }
-    case ScheduleStrategy::kDynamic:
-    case ScheduleStrategy::kCostGuided: {
-      // Online claiming: dynamic in id order, cost-guided in LPT order.
-      std::vector<int64_t> order;
-      if (ctx.strategy() == ScheduleStrategy::kCostGuided) {
-        order = LptOrder(costs);
-      }
-      std::atomic<int64_t> next{0};
-      ctx.pool().Run(threads, [&](int64_t) {
-        for (;;) {
-          const int64_t k = next.fetch_add(1, std::memory_order_relaxed);
-          if (k >= n || ctx.ShouldStop()) break;
-          fn(order.empty() ? k : order[static_cast<size_t>(k)]);
-        }
-      });
-      break;
-    }
-  }
+  });
 }
 
 }  // namespace dpc

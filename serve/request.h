@@ -73,8 +73,8 @@ struct ClusterRequest {
   OptionsMap options;
   /// Clustering knobs (d_cut, rho_min, delta_min, epsilon). Split by the
   /// server into params.compute() — the solution-cache key — and
-  /// params.threshold() — the label phase. The deprecated num_threads
-  /// field is ignored: execution policy belongs to the server.
+  /// params.threshold() — the label phase. Execution policy belongs to
+  /// the server.
   DpcParams params;
   /// kGraph only: how many gamma-ranked points to return.
   int graph_top_k = 10;

@@ -105,9 +105,6 @@ struct ServerOptions {
   /// coalescing.
   std::chrono::steady_clock::duration batch_window =
       std::chrono::milliseconds(2);
-  /// Loop scheduling for every request (per-request option maps can
-  /// still override per algorithm, e.g. scheduler=static).
-  ScheduleStrategy strategy = ScheduleStrategy::kCostGuided;
 };
 
 /// Monotonic counters, snapshotted by stats(). Since PR 9 these are
@@ -693,10 +690,9 @@ class ClusterServer {
     lease_width_total_->Inc(static_cast<uint64_t>(lease->width()));
 
     // Per-request context on the leased pool: deadline and cancellation
-    // are this request's alone. The deprecated per-request
-    // DpcParams::num_threads never reaches the compute phase — Solve
-    // takes its whole execution policy from this context.
-    ExecutionContext ctx(lease->width(), options_.strategy, lease->pool());
+    // are this request's alone. Solve takes its whole execution policy
+    // from this context.
+    ExecutionContext ctx(lease->width(), lease->pool());
     if (s.deadline_at != std::chrono::steady_clock::time_point::max()) {
       ctx.set_deadline(s.deadline_at);
     }

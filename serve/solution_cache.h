@@ -32,9 +32,9 @@
 // tries the store before giving up (a WARM miss: the solution is
 // promoted back and the caller finalizes it — never recomputes).
 //
-// Execution policy (thread count, schedule strategy) is excluded from
-// keys on both tiers: the library-wide determinism contract (labels are
-// bit-identical across strategies and thread counts, enforced by
+// Execution policy (the thread count) is excluded from keys on both
+// tiers: the library-wide determinism contract (labels are
+// bit-identical across thread counts, enforced by
 // tests/determinism_test.cc) is what makes a cached artifact valid for
 // every future execution of the same configuration. Thread-safe; the
 // store is never called under the cache lock.
@@ -63,9 +63,8 @@ namespace dpc::serve {
 /// The solution-tier key. Numeric params render with %.17g (the same
 /// normalization CanonicalOptionValue applies to option values), so any
 /// two requests whose compute configurations are semantically identical —
-/// however they were spelled — map to one key. Pure execution-policy
-/// options are excluded — "scheduler" — as are rho_min and delta_min
-/// (threshold-tier concerns).
+/// however they were spelled — map to one key. rho_min and delta_min are
+/// excluded (threshold-tier concerns).
 inline std::string MakeSolutionKey(uint64_t dataset_fingerprint,
                                    const std::string& algorithm,
                                    const OptionsMap& options,
@@ -74,9 +73,7 @@ inline std::string MakeSolutionKey(uint64_t dataset_fingerprint,
   std::snprintf(buf, sizeof(buf), "%016llx|%.17g|%.17g|",
                 static_cast<unsigned long long>(dataset_fingerprint),
                 compute.d_cut, compute.epsilon);
-  OptionsMap keyed = options;
-  keyed.erase("scheduler");
-  return buf + algorithm + '|' + CanonicalOptionsString(keyed);
+  return buf + algorithm + '|' + CanonicalOptionsString(options);
 }
 
 /// The label-tier key within one solution entry. The halo flag is not

@@ -31,7 +31,6 @@ int main() {
   params.d_cut = 1500.0;
   params.rho_min = 5.0;
   params.delta_min = 8000.0;
-  params.num_threads = 0;
 
   dpc::ExDpc exact;
   dpc::ApproxDpc approx;

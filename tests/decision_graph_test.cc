@@ -26,7 +26,6 @@ int main() {
   params.d_cut = 1200.0;
   params.rho_min = 4.0;
   params.delta_min = params.d_cut * 1.0001;  // permissive: threshold later
-  params.num_threads = 0;
 
   dpc::ExDpc algo;
   dpc::DpcResult result = algo.Run(points, params);

@@ -1,9 +1,9 @@
 // Determinism guarantees: identical results across repeated runs, across
-// thread counts, across schedule strategies (the parallel phases only
-// write disjoint per-point slots; ties are broken by id, never by arrival
-// order — so static chunks, dynamic claiming, and LPT bins all land on
-// the same bits), AND across kernel dispatch tiers — degenerate shapes
-// included: a single-cell grid and an empty input.
+// thread counts (the parallel phases only write disjoint per-point
+// slots; ties are broken by id, never by arrival order — so however
+// threads claim runs and cells, they land on the same bits), AND across
+// kernel dispatch tiers — degenerate shapes included: a single-cell grid
+// and an empty input.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -49,13 +49,13 @@ int main() {
         approx ? static_cast<dpc::DpcAlgorithm&>(approx_algo)
                : static_cast<dpc::DpcAlgorithm&>(exact_algo);
 
-    params.num_threads = 1;
-    const dpc::DpcResult serial = algo.Run(points, params);
-    const dpc::DpcResult serial2 = algo.Run(points, params);
+    const dpc::ExecutionContext one(1);
+    const dpc::DpcResult serial = algo.Run(points, params, one);
+    const dpc::DpcResult serial2 = algo.Run(points, params, one);
     dpc::test::AssertSolutionsEqual(serial, serial2);
 
-    params.num_threads = 4;
-    const dpc::DpcResult parallel = algo.Run(points, params);
+    const dpc::DpcResult parallel =
+        algo.Run(points, params, dpc::ExecutionContext(4));
     dpc::test::AssertSolutionsEqual(serial, parallel);
 
     CHECK(serial.num_clusters() > 0);
@@ -76,8 +76,7 @@ int main() {
       CHECK(algo.ok());
       const dpc::DpcSolution serial = algo.value()->Solve(
           points, compute,
-          dpc::ExecutionContext(1, dpc::ScheduleStrategy::kCostGuided,
-                                sweep_pool));
+          dpc::ExecutionContext(1, sweep_pool));
       CHECK(serial.density_order == dpc::DensityOrder(serial.rho));
       const dpc::Labeling serial_labels =
           dpc::LabelSolution(serial, params.threshold());
@@ -85,8 +84,7 @@ int main() {
       for (const int threads : {2, 8}) {
         const dpc::DpcSolution wide = algo.value()->Solve(
             points, compute,
-            dpc::ExecutionContext(threads, dpc::ScheduleStrategy::kCostGuided,
-                                  sweep_pool));
+            dpc::ExecutionContext(threads, sweep_pool));
         CHECK(wide.rho == serial.rho);
         CHECK(wide.delta == serial.delta);
         CHECK(wide.dependency == serial.dependency);
@@ -127,8 +125,7 @@ int main() {
       CHECK(algo.ok());
       return algo.value()->Solve(
           points, compute,
-          dpc::ExecutionContext(threads, dpc::ScheduleStrategy::kCostGuided,
-                                pool));
+          dpc::ExecutionContext(threads, pool));
     };
     const dpc::DpcSolution ex = solve("ex-dpc", KernelTier::kGeneric, 1);
     const dpc::Labeling ex_labels = dpc::LabelSolution(ex, params.threshold());
@@ -172,27 +169,25 @@ int main() {
          {static_cast<dpc::DpcAlgorithm*>(&lsh_ddp),
           static_cast<dpc::DpcAlgorithm*>(&s_approx),
           static_cast<dpc::DpcAlgorithm*>(&cfsfdp_a)}) {
-      p.num_threads = 1;
-      const dpc::DpcResult serial = algo->Run(points, p);
+      const dpc::DpcResult serial =
+          algo->Run(points, p, dpc::ExecutionContext(1));
       for (const int threads : {2, 8}) {
-        p.num_threads = threads;
-        dpc::test::AssertSolutionsEqual(serial, algo->Run(points, p));
+        dpc::test::AssertSolutionsEqual(
+            serial, algo->Run(points, p, dpc::ExecutionContext(threads)));
       }
       CHECK(serial.num_clusters() > 0);
     }
   }
 
-  // API v2 sweep: every registered algorithm under
-  // {static, dynamic, LPT} x {1, 2, 8} threads, all through ONE shared
-  // ThreadPool — labels must be bit-identical to the 1-thread static
-  // baseline. (A smaller input keeps the quadratic baselines affordable
+  // API v2 sweep: every registered algorithm at {1, 2, 8} threads, all
+  // through ONE shared ThreadPool — labels must be bit-identical to the
+  // 1-thread baseline. (A smaller input keeps the quadratic baselines affordable
   // while still exceeding the parallel-region threshold.)
   dpc::data::GaussianBenchmarkParams small = gen;
   small.num_points = 3000;
   small.seed = 123;
   const dpc::PointSet pts = dpc::data::GaussianBenchmark(small);
   dpc::DpcParams small_params = params;
-  small_params.num_threads = 0;
   small_params.epsilon = 0.5;
   auto pool = std::make_shared<dpc::ThreadPool>(8);
   {
@@ -200,18 +195,14 @@ int main() {
     for (const std::string& name : dpc::RegisteredAlgorithmNames()) {
       auto algo = dpc::MakeAlgorithmByName(name);
       CHECK(algo.ok());
-      const dpc::ExecutionContext base(1, dpc::ScheduleStrategy::kStatic, pool);
+      const dpc::ExecutionContext base(1, pool);
       const dpc::DpcResult baseline = algo.value()->Run(pts, p, base);
       CHECK(baseline.num_clusters() > 0);
-      for (const auto strategy :
-           {dpc::ScheduleStrategy::kStatic, dpc::ScheduleStrategy::kDynamic,
-            dpc::ScheduleStrategy::kCostGuided}) {
-        for (const int threads : {1, 2, 8}) {
-          const dpc::ExecutionContext ctx(threads, strategy, pool);
-          dpc::test::AssertSolutionsEqual(baseline, algo.value()->Run(pts, p, ctx));
-        }
+      for (const int threads : {1, 2, 8}) {
+        const dpc::ExecutionContext ctx(threads, pool);
+        dpc::test::AssertSolutionsEqual(baseline, algo.value()->Run(pts, p, ctx));
       }
-      std::printf("%-12s identical across strategies x threads\n", name.c_str());
+      std::printf("%-12s identical across 1/2/8 threads\n", name.c_str());
     }
   }
 
@@ -311,8 +302,7 @@ int main() {
         auto algo = dpc::MakeAlgorithmByName(name);
         CHECK(algo.ok());
         for (const int threads : {1, 8}) {
-          const dpc::ExecutionContext ctx(
-              threads, dpc::ScheduleStrategy::kCostGuided, pool);
+          const dpc::ExecutionContext ctx(threads, pool);
           CHECK(dpc::kernels::SetActiveTier(KernelTier::kGeneric));
           const dpc::DpcResult generic =
               algo.value()->Run(f.points, f.params, ctx);

@@ -30,10 +30,10 @@ void TestAgainstBruteForce() {
   params.d_cut = 4000.0;
   params.rho_min = 2.0;
   params.delta_min = 20000.0;
-  params.num_threads = 2;
+  const dpc::ExecutionContext two_threads(2);
 
   dpc::ExDpc algo;
-  const dpc::DpcResult result = algo.Run(points, params);
+  const dpc::DpcResult result = algo.Run(points, params, two_threads);
   CHECK_EQ(static_cast<dpc::PointId>(result.label.size()), n);
 
   for (dpc::PointId i = 0; i < n; ++i) {
@@ -84,7 +84,6 @@ void TestRecoversPlantedClusters() {
   params.d_cut = 1500.0;
   params.rho_min = 5.0;
   params.delta_min = 9000.0;
-  params.num_threads = 0;
   CHECK(params.Validate().ok());
 
   dpc::ExDpc algo;

@@ -1,7 +1,13 @@
-// data/io.h round-trips (CSV and binary) and eval/ metric sanity
-// (Rand index, ARI, cluster summaries).
+// data/io.h round-trips (CSV and binary), forged DPCB headers, and
+// eval/ metric sanity (Rand index, ARI, cluster summaries).
+#include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -11,6 +17,29 @@
 #include "eval/cluster_stats.h"
 #include "eval/rand_index.h"
 #include "tests/test_util.h"
+
+// The largest single allocation since the last reset: a forged DPCB
+// header must be rejected before LoadBinary reserves for its point count.
+static std::atomic<std::size_t> g_largest_allocation{0};
+
+// Out of line like operator delete below, so gcc never pairs an inlined
+// malloc() with a delete call (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_allocation.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// The other three deletes route through this one. Kept out of line, so a
+// call site never sees an inlined free() next to its operator new call.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -54,6 +83,57 @@ void TestIoRoundTrip() {
   CHECK(!dpc::data::LoadCsv("does_not_exist.csv").ok());
   std::remove(csv.c_str());
   std::remove(bin.c_str());
+}
+
+// Writes a DPCB header claiming `n` points of dimension `dim`, then
+// `rows` rows of 3 coordinates.
+void WriteDpcb(const std::string& path, int64_t n, int64_t rows,
+               int32_t dim = 3) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  CHECK(f != nullptr);
+  CHECK_EQ(std::fwrite(dpc::data::kBinaryMagic, 1, 4, f), 4u);
+  CHECK_EQ(std::fwrite(&dim, sizeof(dim), 1, f), 1u);
+  CHECK_EQ(std::fwrite(&n, sizeof(n), 1, f), 1u);
+  const double row[3] = {1.0, 2.0, 3.0};
+  for (int64_t i = 0; i < rows; ++i) {
+    CHECK_EQ(std::fwrite(row, sizeof(double), 3, f), 3u);
+  }
+  CHECK_EQ(std::fclose(f), 0);
+}
+
+// A header whose point count the file cannot hold is an IoError, found
+// before anything is reserved for it: the 16-byte header alone with
+// n = 2^62 (which used to abort in vector::reserve), and a header
+// claiming one point more than the 1000 rows that follow. An empty set
+// of a huge dimension loads without allocating a row of that size.
+void TestForgedBinaryHeader() {
+  const std::string path = "io_eval_forged.bin";
+  const struct {
+    int64_t claimed;
+    int64_t rows;
+  } cases[] = {{int64_t{1} << 62, 0}, {1001, 1000}};
+  for (const auto& c : cases) {
+    WriteDpcb(path, c.claimed, c.rows);
+    g_largest_allocation.store(0);
+    const auto loaded = dpc::data::LoadBinary(path);
+    const std::size_t largest = g_largest_allocation.load();
+    CHECK(!loaded.ok());
+    CHECK(loaded.status().code() == dpc::StatusCode::kIoError);
+    CHECK(largest < 1000 * 3 * sizeof(double));  // no reserve for n points
+  }
+  WriteDpcb(path, 0, 0, std::numeric_limits<int32_t>::max());
+  g_largest_allocation.store(0);
+  const auto wide_empty = dpc::data::LoadBinary(path);
+  CHECK(g_largest_allocation.load() < 1000 * 3 * sizeof(double));
+  CHECK(wide_empty.ok());
+  CHECK_EQ(wide_empty.value().size(), 0);
+
+  // The same file with its header telling the truth loads.
+  WriteDpcb(path, 1000, 1000);
+  const auto honest = dpc::data::LoadBinary(path);
+  CHECK(honest.ok());
+  CHECK_EQ(honest.value().size(), 1000);
+  std::remove(path.c_str());
 }
 
 // A leading header (or preamble) row is skipped; dimensionality is
@@ -149,6 +229,7 @@ void TestMetrics() {
 int main() {
   TestIoRoundTrip();
   TestCsvHeader();
+  TestForgedBinaryHeader();
   TestMetrics();
   std::printf("io_eval_test OK\n");
   return 0;

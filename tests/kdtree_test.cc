@@ -119,8 +119,7 @@ void CheckParallelBuildMatchesSerial(const dpc::PointSet& points,
   const dpc::PointSet larger = RandomPoints(dim, 2 * n, seed + 1);
   auto pool = std::make_shared<dpc::ThreadPool>(8);
   for (const int threads : {2, 8}) {
-    const dpc::ExecutionContext ctx(threads, dpc::ScheduleStrategy::kCostGuided,
-                                    pool);
+    const dpc::ExecutionContext ctx(threads, pool);
     dpc::KdTree parallel;
     parallel.Build(points, &ctx);
     CHECK_EQ(parallel.size(), n);

@@ -1,6 +1,6 @@
 // The parallel/ layer underneath API v2: ThreadPool task-execution
-// guarantees, ParallelFor/ParallelForWithCosts coverage under every
-// strategy, the shared default pool, and ExecutionContext
+// guarantees, ParallelFor/ParallelForWithCosts coverage at every
+// thread count, the shared default pool, and ExecutionContext
 // deadline/cancellation semantics.
 #include <atomic>
 #include <chrono>
@@ -42,50 +42,42 @@ int main() {
     CHECK_EQ(nested.load(), 32);
   }
 
-  // ParallelFor and ParallelForWithCosts: exact coverage under every
-  // strategy x thread count, on one shared pool.
+  // ParallelFor and ParallelForWithCosts: exact coverage at every
+  // thread count, on one shared pool.
   {
     auto pool = std::make_shared<dpc::ThreadPool>(4);
-    for (const auto strategy :
-         {dpc::ScheduleStrategy::kStatic, dpc::ScheduleStrategy::kDynamic,
-          dpc::ScheduleStrategy::kCostGuided}) {
-      for (const int threads : {1, 2, 4}) {
-        const dpc::ExecutionContext ctx(threads, strategy, pool);
-        CHECK_EQ(ctx.threads(), threads);
+    for (const int threads : {1, 2, 4}) {
+      const dpc::ExecutionContext ctx(threads, pool);
+      CHECK_EQ(ctx.threads(), threads);
 
-        std::vector<int> seen(10000, 0);
-        dpc::ParallelFor(ctx, 10000, [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) seen[static_cast<size_t>(i)]++;
-        });
-        for (const int s : seen) CHECK_EQ(s, 1);
+      std::vector<int> seen(10000, 0);
+      dpc::ParallelFor(ctx, 10000, [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) seen[static_cast<size_t>(i)]++;
+      });
+      for (const int s : seen) CHECK_EQ(s, 1);
 
-        std::vector<double> costs(500);
-        for (size_t i = 0; i < costs.size(); ++i) {
-          costs[i] = 1000.0 / static_cast<double>(1 + i);  // skewed
-        }
-        std::vector<int> item_seen(costs.size(), 0);
-        dpc::ParallelForWithCosts(ctx, costs, [&](int64_t item) {
-          item_seen[static_cast<size_t>(item)]++;
-        });
-        for (const int s : item_seen) CHECK_EQ(s, 1);
+      std::vector<double> costs(500);
+      for (size_t i = 0; i < costs.size(); ++i) {
+        costs[i] = 1000.0 / static_cast<double>(1 + i);  // skewed
       }
+      std::vector<int> item_seen(costs.size(), 0);
+      dpc::ParallelForWithCosts(ctx, costs, [&](int64_t item) {
+        item_seen[static_cast<size_t>(item)]++;
+      });
+      for (const int s : item_seen) CHECK_EQ(s, 1);
     }
   }
 
   // Default-constructed contexts share one process-wide pool (pool
-  // reuse is the point of the redesign), and WithThreads/WithStrategy
-  // copies keep sharing it.
+  // reuse is the point of the redesign), and WithThreads copies keep
+  // sharing it.
   {
     const dpc::ExecutionContext a;
     const dpc::ExecutionContext b;
     CHECK(a.shared_pool().get() == b.shared_pool().get());
     CHECK(a.WithThreads(2).shared_pool().get() == a.shared_pool().get());
     CHECK_EQ(a.WithThreads(2).threads(), 2);
-    CHECK(a.WithStrategy(dpc::ScheduleStrategy::kDynamic).strategy() ==
-          dpc::ScheduleStrategy::kDynamic);
-    // Default policy: unspecified thread count, cost-guided scheduling.
-    CHECK_EQ(a.num_threads(), 0);
-    CHECK(a.strategy() == dpc::ScheduleStrategy::kCostGuided);
+    CHECK_EQ(a.num_threads(), 0);  // unspecified: all hardware threads
   }
 
   // Cancellation propagates to every copy (algorithms run on a resolved
@@ -117,34 +109,30 @@ int main() {
 
   // Mid-loop cancellation (amortized ShouldStop polling): a cancel fired
   // from inside the loop stops both loop shapes well before full
-  // coverage, under every strategy and even on the serial path.
+  // coverage, at every thread count and even on the serial path.
   {
     auto pool = std::make_shared<dpc::ThreadPool>(2);
     const int64_t n = int64_t{1} << 20;
-    for (const auto strategy :
-         {dpc::ScheduleStrategy::kStatic, dpc::ScheduleStrategy::kDynamic,
-          dpc::ScheduleStrategy::kCostGuided}) {
-      for (const int threads : {1, 2}) {
-        const dpc::ExecutionContext ctx(threads, strategy, pool);
-        std::atomic<int64_t> visited{0};
-        dpc::ParallelFor(ctx, n, [&](int64_t begin, int64_t end) {
-          visited.fetch_add(end - begin);
-          ctx.RequestCancel();
-        });
-        CHECK(visited.load() > 0);
-        CHECK(visited.load() < n / 2);  // stopped mid-phase, not at the end
+    for (const int threads : {1, 2}) {
+      const dpc::ExecutionContext ctx(threads, pool);
+      std::atomic<int64_t> visited{0};
+      dpc::ParallelFor(ctx, n, [&](int64_t begin, int64_t end) {
+        visited.fetch_add(end - begin);
+        ctx.RequestCancel();
+      });
+      CHECK(visited.load() > 0);
+      CHECK(visited.load() < n / 2);  // stopped mid-phase, not at the end
 
-        // The cancel is confined to ctx's stop state: a fresh-stop-state
-        // sibling still covers every item.
-        std::vector<double> costs(8192, 1.0);
-        std::atomic<int64_t> items{0};
-        dpc::ParallelForWithCosts(ctx.WithFreshStopState(), costs,
-                                  [&](int64_t) { items.fetch_add(1); });
-        CHECK_EQ(items.load(), static_cast<int64_t>(costs.size()));
-      }
+      // The cancel is confined to ctx's stop state: a fresh-stop-state
+      // sibling still covers every item.
+      std::vector<double> costs(8192, 1.0);
+      std::atomic<int64_t> items{0};
+      dpc::ParallelForWithCosts(ctx.WithFreshStopState(), costs,
+                                [&](int64_t) { items.fetch_add(1); });
+      CHECK_EQ(items.load(), static_cast<int64_t>(costs.size()));
     }
     // ParallelForWithCosts stops between items once the context says so.
-    const dpc::ExecutionContext ctx(2, dpc::ScheduleStrategy::kDynamic, pool);
+    const dpc::ExecutionContext ctx(2, pool);
     std::vector<double> costs(8192, 1.0);
     std::atomic<int64_t> items{0};
     dpc::ParallelForWithCosts(ctx, costs, [&](int64_t) {
@@ -155,7 +143,7 @@ int main() {
     CHECK(items.load() < static_cast<int64_t>(costs.size()));
   }
 
-  // Cost-guided claiming under a wrong cost model: item `slow` claims the
+  // LPT claiming under a wrong cost model: item `slow` claims the
   // smallest cost (so LPT order reaches it last) but runs 100x longer
   // than any other item. Threads claim items online, so every item is
   // still visited exactly once at 1, 2 and 8 threads, and a cancel fired
@@ -173,8 +161,7 @@ int main() {
       for (int64_t r = 0; r < rounds; ++r) sink = sink + r;
     };
     for (const int threads : {1, 2, 8}) {
-      const dpc::ExecutionContext ctx(
-          threads, dpc::ScheduleStrategy::kCostGuided, pool);
+      const dpc::ExecutionContext ctx(threads, pool);
       std::vector<int> seen(costs.size(), 0);
       dpc::ParallelForWithCosts(ctx, costs, [&](int64_t item) {
         work(item == slow ? 200000 : 2000);
@@ -182,8 +169,7 @@ int main() {
       });
       for (const int s : seen) CHECK_EQ(s, 1);
 
-      const dpc::ExecutionContext cancel_ctx(
-          threads, dpc::ScheduleStrategy::kCostGuided, pool);
+      const dpc::ExecutionContext cancel_ctx(threads, pool);
       std::atomic<int64_t> visited{0};
       dpc::ParallelForWithCosts(cancel_ctx, costs, [&](int64_t item) {
         work(item == slow ? 200000 : 2000);

@@ -21,7 +21,7 @@ int main() {
   params.d_cut = 4000.0;
   params.rho_min = 2.0;
   params.delta_min = 15000.0;
-  params.num_threads = 2;
+  const dpc::ExecutionContext ctx(2);
 
   // The paper's full menu; new algorithms join the loop below
   // automatically.
@@ -35,7 +35,7 @@ int main() {
                    algo.status().ToString().c_str());
       return 1;
     }
-    const dpc::DpcResult result = algo.value()->Run(points, params);
+    const dpc::DpcResult result = algo.value()->Run(points, params, ctx);
     CHECK_EQ(result.label.size(), static_cast<size_t>(points.size()));
     CHECK_EQ(result.rho.size(), static_cast<size_t>(points.size()));
     CHECK_EQ(result.delta.size(), static_cast<size_t>(points.size()));
@@ -53,16 +53,18 @@ int main() {
   // keys and malformed values fail with InvalidArgument naming the key.
   {
     auto tuned = dpc::MakeAlgorithmByName(
-        "approx-dpc", {{"joint_range_search", "false"}, {"scheduler", "static"}});
+        "cfsfdp-a", {{"sample_rate", "0.5"}, {"sample_seed", "7"}});
     CHECK(tuned.ok());
-    const dpc::DpcResult r = tuned.value()->Run(points, params);
+    const dpc::DpcResult r = tuned.value()->Run(points, params, ctx);
     CHECK_EQ(r.label.size(), static_cast<size_t>(points.size()));
     CHECK(r.num_clusters() >= 1);
+    CHECK(dpc::MakeAlgorithmByName("approx-dpc", {{"joint_range_search", "false"}})
+              .ok());
 
     auto lsh = dpc::MakeAlgorithmByName(
         "lsh-ddp", {{"num_tables", "6"}, {"num_bits", "5"}});
     CHECK(lsh.ok());
-    CHECK(lsh.value()->Run(points, params).num_clusters() >= 1);
+    CHECK(lsh.value()->Run(points, params, ctx).num_clusters() >= 1);
 
     auto bad_key = dpc::MakeAlgorithmByName("ex-dpc", {{"nope", "1"}});
     CHECK(!bad_key.ok());
@@ -75,6 +77,15 @@ int main() {
       CHECK(!removed.ok());
       CHECK(removed.status().code() == dpc::StatusCode::kInvalidArgument);
       CHECK(removed.status().message().find("sharding") != std::string::npos);
+    }
+
+    // The execution policy lives on the ExecutionContext alone: no
+    // algorithm takes a `scheduler` key.
+    for (const std::string& name : names) {
+      auto scheduled = dpc::MakeAlgorithmByName(name, {{"scheduler", "static"}});
+      CHECK(!scheduled.ok());
+      CHECK(scheduled.status().code() == dpc::StatusCode::kInvalidArgument);
+      CHECK(scheduled.status().message().find("scheduler") != std::string::npos);
     }
 
     // force_num_subsets left with the subset scheme's solve-path role.

@@ -40,10 +40,10 @@ int main() {
   params.d_cut = 5000.0;
   params.rho_min = 5.0;
   params.delta_min = 20000.0;
-  params.num_threads = 2;
+  const dpc::ExecutionContext two_threads(2);
 
   dpc::ExDpc exact;
-  const dpc::DpcResult ground = exact.Run(points, params);
+  const dpc::DpcResult ground = exact.Run(points, params, two_threads);
   CHECK(ground.num_clusters() >= 2);
 
   std::vector<double> rand_index;
@@ -51,7 +51,7 @@ int main() {
     dpc::DpcParams p = params;
     p.epsilon = eps;
     dpc::SApproxDpc algo;
-    const dpc::DpcResult r = algo.Run(points, p);
+    const dpc::DpcResult r = algo.Run(points, p, two_threads);
     CHECK(r.rho == ground.rho);  // joint range count == per-point counts
     CHECK(r.centers == ground.centers);  // exact centers at every epsilon
     const double ri = dpc::eval::RandIndex(r.label, ground.label);
@@ -69,8 +69,8 @@ int main() {
     p.epsilon = 1e-12;
     dpc::SApproxDpc s_approx;
     dpc::ApproxDpc approx;
-    const dpc::DpcResult a = s_approx.Run(points, p);
-    const dpc::DpcResult b = approx.Run(points, p);
+    const dpc::DpcResult a = s_approx.Run(points, p, two_threads);
+    const dpc::DpcResult b = approx.Run(points, p, two_threads);
     CHECK(a.label == b.label);
     CHECK(a.dependency == b.dependency);
     CHECK(a.centers == b.centers);

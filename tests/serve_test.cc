@@ -352,16 +352,6 @@ void TestSolutionKey() {
   CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", spelled_a,
                                     rethresholded.compute()) == base);
 
-  // Execution policy is NOT part of the key (labels are thread-count and
-  // strategy independent by the determinism contract).
-  dpc::OptionsMap with_scheduler = spelled_a;
-  with_scheduler["scheduler"] = "static";
-  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", with_scheduler, compute) ==
-        base);
-  with_scheduler["scheduler"] = "lpt";
-  CHECK(dpc::serve::MakeSolutionKey(1, "lsh-ddp", with_scheduler, compute) ==
-        base);
-
   // Threshold keys canonicalize spelling-equal values too.
   CHECK(dpc::serve::MakeThresholdKey(Spec(2.0, 5.0)) ==
         dpc::serve::MakeThresholdKey(Spec(2.0, 5.0)));
@@ -463,16 +453,10 @@ void TestServerEndToEnd() {
   CHECK(!recomputed.cache_hit);
   CHECK(dpc::test::BitIdenticalLabels(recomputed.result->label, direct.label));
 
-  // The deprecated per-request thread knob must not change the outcome
-  // (the server owns execution policy) — and must hit the same cache key.
-  dpc::serve::ClusterRequest threaded = request;
-  threaded.params.num_threads = 1;
-  CHECK(server.Submit(threaded).get().cache_hit);
-
   const auto stats = server.stats();
-  CHECK_EQ(stats.submitted, 6u);
-  CHECK_EQ(stats.completed, 6u);
-  CHECK_EQ(stats.cache_hits, 3u);
+  CHECK_EQ(stats.submitted, 5u);
+  CHECK_EQ(stats.completed, 5u);
+  CHECK_EQ(stats.cache_hits, 2u);
   CHECK_EQ(stats.recomputes, 3u);
   CHECK_EQ(stats.errors, 0u);
 }
@@ -551,6 +535,39 @@ void TestRethresholdAndGraphRequests() {
   CHECK(server.Submit(bad_k).get().status.code() ==
         dpc::StatusCode::kInvalidArgument);
   CHECK_EQ(server.stats().recomputes, recomputes);
+}
+
+// A stale client still sending the removed `scheduler` option gets
+// InvalidArgument on every request kind, even against a warm cache:
+// ResolveRequest validates the options before it probes the cache.
+void TestStaleSchedulerOptionRejected() {
+  dpc::serve::ServerOptions options;
+  options.pool_threads = 2;
+  dpc::serve::ClusterServer server(options);
+  server.datasets().Register("pts", TestPoints());
+
+  dpc::serve::ClusterRequest warmup;
+  warmup.dataset = "pts";
+  warmup.algorithm = "approx-dpc";
+  warmup.params = TestParams();
+  CHECK(server.Submit(warmup).get().status.ok());
+  CHECK(server.Submit(warmup).get().cache_hit);
+
+  for (const auto kind : {dpc::serve::RequestKind::kCluster,
+                          dpc::serve::RequestKind::kRethreshold}) {
+    dpc::serve::ClusterRequest stale = warmup;
+    stale.kind = kind;
+    stale.options["scheduler"] = "static";
+    const auto response = server.Submit(stale).get();
+    CHECK(response.status.code() == dpc::StatusCode::kInvalidArgument);
+    CHECK(response.status.message().find("scheduler") != std::string::npos);
+    CHECK(!response.cache_hit);
+    CHECK(response.result == nullptr);
+  }
+  const auto stats = server.stats();
+  CHECK_EQ(stats.recomputes, 1u);
+  CHECK_EQ(stats.cache_hits, 1u);
+  CHECK_EQ(stats.errors, 2u);
 }
 
 void TestMixedDeadlineBatch() {
@@ -1042,6 +1059,7 @@ int main() {
   TestAdmissionQueuePriority();
   TestServerEndToEnd();
   TestRethresholdAndGraphRequests();
+  TestStaleSchedulerOptionRejected();
   TestMixedDeadlineBatch();
   TestErrorPaths();
   TestConcurrentSubmissions();

@@ -176,8 +176,7 @@ void TestParallelDensityOrder() {
     const std::vector<dpc::PointId> expected = dpc::DensityOrder(rho);
     CHECK_EQ(expected.size(), n);
     for (const int threads : {1, 2, 3, 8}) {
-      const dpc::ExecutionContext ctx(
-          threads, dpc::ScheduleStrategy::kCostGuided, pool);
+      const dpc::ExecutionContext ctx(threads, pool);
       CHECK(dpc::DensityOrder(rho, ctx) == expected);
     }
   }
